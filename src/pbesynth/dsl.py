@@ -189,8 +189,7 @@ def extend_with_abstraction(lib: DSLibrary, abstraction,
     body = abstraction.body
     sig = abstraction.signature
     if abstraction.arity == 0:
-        value = evaluate(body, {}, EvalLimits(), lib.prims())
-        literal = _value_to_literal(value)
+        literal = zero_arity_literal(body, lib)
         if literal is None:
             raise LangError("zero-arity abstraction does not evaluate to a "
                             "literal constant")
@@ -205,6 +204,13 @@ def extend_with_abstraction(lib: DSLibrary, abstraction,
     op = Operation(name, sig, abstraction_func(body, lib.prims()),
                    provenance=LearnedAbstraction(body, iteration))
     return DSLibrary(lib.operations + (op,), lib.constants, lib.version + 1)
+
+
+def zero_arity_literal(body: Term, lib: DSLibrary) -> Optional[Term]:
+    """The literal constant a zero-arity abstraction with this body adds to
+    `lib`, or None when its value has no literal form.  Evaluation errors
+    propagate."""
+    return _value_to_literal(evaluate(body, {}, EvalLimits(), lib.prims()))
 
 
 def _value_to_literal(value) -> Optional[Term]:

@@ -74,7 +74,13 @@ class LinearScorer:
     """Per-operation linear model over argument features.
 
     Unknown operations score 0 for every candidate, matching the uniform
-    scorer, so an untrained model degrades gracefully."""
+    scorer, so an untrained model degrades gracefully.
+
+    Scorer contract (see synthesis.UniformScorer): a score is a pure
+    function of the operation, `ctx.position`, the candidate entry and the
+    task; the prefix enters only as feature 10, "is `prefix[-1]` this
+    candidate?".  Argument selection caches scores on that basis, so the
+    parameters must not change while a search uses the scorer."""
 
     def __init__(self, per_op_parameters=None, training_report=None):
         self.per_op_parameters = dict(per_op_parameters or {})

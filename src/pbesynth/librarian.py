@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .lang import (
     Arrow, Ty, Term, Apply, BoundVar, ConstBool, ConstInt, ConstList,
-    InputVar, Lam, PrimRef, format_term, free_input_vars, infer_type,
-    max_free_index, term_size,
+    EvalError, InputVar, Lam, PrimRef, format_term, free_input_vars,
+    infer_type, max_free_index, term_size,
 )
-from .dsl import DSLibrary
+from .dsl import DSLibrary, zero_arity_literal
 
 
 @dataclass(frozen=True)
@@ -313,6 +313,14 @@ def finalize(pattern, matches, lib: DSLibrary, annots, name: str,
         if free_input_vars(pattern):
             return Rejection("ill-typed",
                              "parameterless pattern captures task inputs")
+        try:
+            literal = zero_arity_literal(pattern, lib)
+        except EvalError as e:
+            return Rejection("not-a-constant", f"evaluation error {e.kind}")
+        if literal is None:
+            return Rejection("not-a-constant", "value has no literal form")
+        if (literal, result_ty) in lib.constants:
+            return Rejection("duplicate-constant", format_term(literal))
         return Abstraction(name, 0, result_ty, pattern, pattern, rep,
                            tuple(sorted({m.task_id for m in used})), iteration)
     remap = {h: i for i, h in enumerate(order)}

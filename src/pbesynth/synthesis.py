@@ -12,6 +12,9 @@ body.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -204,8 +207,11 @@ def sig_from_outcomes(term: Term, outcomes,
         return ("f", tuple(sorted(free_vars)),
                 tuple(tuple(c(o, ("opaque",)) for o in row)
                       for row in outcomes))
-    return ("v", tuple(c(o, ("opaque", format_term(term)))
-                       for o in outcomes))
+    # the opaque fallback names the term; format it only if some outcome
+    # is a function value
+    opaque = ("opaque", format_term(term)) \
+        if any(o[0] == "fn" for o in outcomes) else None
+    return ("v", tuple(c(o, opaque) for o in outcomes))
 
 
 def signature_solves(sig, task: Task) -> bool:
@@ -239,6 +245,8 @@ class ValueStore:
         self.by_sig: Dict[tuple, ValueEntry] = {}
         self.entries: List[ValueEntry] = []  # insertion order; index == position
         self.by_ty: Dict[Ty, List[ValueEntry]] = {}
+        self._scorer = None
+        self._scores: Dict[tuple, float] = {}
 
     def __len__(self):
         return len(self.by_sig)
@@ -264,9 +272,6 @@ class ValueStore:
             old.provenance = entry.provenance
             return old, False, True
         return old, False, False
-
-    def live_entries(self):
-        return self.entries
 
     def of_type(self, ty: Ty):
         return self.by_ty.get(ty, [])
@@ -296,14 +301,14 @@ class ValueStore:
                 out.append(e)
         return out
 
-    def stats(self):
-        counts: Dict[str, int] = {}
-        hist: Dict[int, int] = {}
-        for e in self.entries:
-            key = repr(e.ty)
-            counts[key] = counts.get(key, 0) + 1
-            hist[e.weight] = hist.get(e.weight, 0) + 1
-        return counts, hist
+    def score_cache(self, scorer) -> Dict[tuple, float]:
+        """The scores `scorer` gave this store's entries, keyed by (op name,
+        position, entry index, entry weight, is-last-choice); see
+        beam_select_args.  A different scorer starts an empty cache."""
+        if scorer is not self._scorer:
+            self._scorer = scorer
+            self._scores = {}
+        return self._scores
 
 
 def arg_term(entry: ValueEntry, pty: Ty) -> Term:
@@ -353,20 +358,24 @@ class ScoreContext:
     task: Task
     op_name: str
     position: int
-    type_counts: dict
-    weight_hist: dict
     output_sig: tuple
 
 
 def make_context(task: Task, store: ValueStore, op: Operation,
                  position: int) -> ScoreContext:
-    counts, hist = store.stats()
-    return ScoreContext(task, op.name, position, counts, hist,
+    return ScoreContext(task, op.name, position,
                         tuple(canon_value(o) for o in task.outputs))
 
 
 class UniformScorer:
-    """Scores every type-compatible candidate equally."""
+    """Scores every type-compatible candidate equally.
+
+    Scorer contract: `score(op_name, prefix, candidate, ctx)` is a pure
+    function of the operation, `ctx.position`, the candidate entry (its
+    signature, type, free placeholders and weight) and the task, and it
+    sees the chosen `prefix` only as "is `prefix[-1]` this candidate?".
+    Argument selection relies on this to score each pair once per store
+    (ValueStore.score_cache)."""
 
     per_op_parameters: dict = {}
 
@@ -380,7 +389,14 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
     score first; `beam_size=None` means unbounded (full cross product).
 
     Positions fill left to right, the scorer seeing the chosen prefix.
-    Ties break by (lower total weight, earlier insertion order)."""
+    Ties break by (lower total weight, earlier insertion order).
+
+    By the scorer contract (see UniformScorer) a score depends on the
+    prefix only through "is `prefix[-1]` this entry?", so scores are cached
+    in the store under (op name, position, entry index, entry weight,
+    is-last-choice).  The weight is part of the key because ValueStore.add
+    lowers it in place.  Each cached value is the float the scorer
+    returned, so the tuples are exactly those of scoring every prefix."""
     params = op.signature.params
     per_position = []
     for j, pty in enumerate(params):
@@ -388,27 +404,14 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
         if not cands:
             return []
         per_position.append((pty, cands, make_context(task, store, op, j)))
-    # beam over positions; scores are only needed when truncating
-    beams = [((), 0.0, 0, ())]  # (entries, score, weight, index-key)
-    for pty, cands, ctx in per_position:
-        nxt = []
-        for entries, score, wsum, key in beams:
-            if beam_size is None:
-                nxt.extend((entries + ((e, pty),), 0.0, 0, ())
-                           for e in cands)
-                continue
-            prefix = tuple(e for e, _ in entries)
-            for e in cands:
-                s = scorer.score(op.name, prefix, e, ctx)
-                nxt.append((entries + ((e, pty),), score + s,
-                            wsum + e.weight, key + (e.index,)))
-        if beam_size is not None:
-            nxt.sort(key=lambda b: (-b[1], b[2], b[3]))
-            if len(nxt) > beam_size:
-                nxt = nxt[:beam_size]
-        beams = nxt
+    if beam_size is None:
+        beams = itertools.product(*[[(e, pty) for e in cands]
+                                    for pty, cands, _ctx in per_position])
+    else:
+        beams = _beam(op.name, per_position, store.score_cache(scorer),
+                      scorer, beam_size)
     out = []
-    for entries, score, wsum, key in beams:
+    for entries in beams:
         free = set()
         ok = True
         for e, pty in entries:
@@ -419,6 +422,31 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
         if ok:
             out.append(entries)
     return out
+
+
+def _beam(name, per_position, cache, scorer, beam_size):
+    """The `beam_size` best entry tuples under the key (-score, total
+    weight, index-key), filling positions left to right."""
+    beams = [((), 0.0, 0, ())]  # (entries, score, weight, index-key)
+    for j, (pty, cands, ctx) in enumerate(per_position):
+        scored = []
+        for b, (entries, score, wsum, key) in enumerate(beams):
+            prefix = tuple(e for e, _ in entries)
+            last = prefix[-1] if prefix else None
+            for e in cands:
+                k = (name, j, e.index, e.weight, e is last)
+                s = cache.get(k)
+                if s is None:
+                    s = cache[k] = scorer.score(name, prefix, e, ctx)
+                # (key, index) orders as key + (index,): the keys of one
+                # position have equal length.  It is unique per tuple, so
+                # comparisons never reach the beam number or the entry.
+                scored.append((-(score + s), wsum + e.weight, key, e.index,
+                               b, e))
+        beams = [(beams[b][0] + ((e, pty),), -neg, w, key + (i,))
+                 for neg, w, key, i, b, e
+                 in heapq.nsmallest(beam_size, scored)]
+    return [entries for entries, _score, _wsum, _key in beams]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +587,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     _names, allowed = lib_placeholders(lib)
     store = init_store(task, lib, limits)
     solution = None
-    for e in store.live_entries():
+    for e in store.entries:
         if signature_solves(e.signature, task):
             solution = e
             if stop_on_solve:
@@ -675,7 +703,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     seen_len: Dict[str, int] = {op.name: 0 for op in lib.operations}
     improved_since: Dict[str, set] = {op.name: set() for op in lib.operations}
 
-    for e in store.live_entries():
+    for e in store.entries:
         if signature_solves(e.signature, task):
             solution = e
             if cfg.stop_on_solve:
@@ -863,14 +891,24 @@ def _fresh_product(op: Operation, store: ValueStore, allowed, seen: int,
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task,
                    allowed):
-    import math
+    """Per position, a softmax over the scores of its candidates with an
+    empty prefix, read through the store's score cache (see
+    beam_select_args)."""
+    cache = store.score_cache(scorer)
+    name = op.name
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty, allowed)
         if not cands:
             return None
         ctx = make_context(task, store, op, j)
-        scores = [scorer.score(op.name, (), e, ctx) for e in cands]
+        scores = []
+        for e in cands:
+            k = (name, j, e.index, e.weight, False)
+            s = cache.get(k)
+            if s is None:
+                s = cache[k] = scorer.score(name, (), e, ctx)
+            scores.append(s)
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
         total = sum(weights)

@@ -337,6 +337,22 @@ def test_mine_returns_nothing_for_single_task_pattern():
     assert res.abstractions == []
 
 
+def test_mine_rejects_pattern_equal_to_existing_constant():
+    # (Filter IsEven []) is the value [], already a library constant;
+    # extending the library with it used to raise "duplicate constant []"
+    corpus = {"a": [parse_term("(Reverse (Filter IsEven []))", NAMES)],
+              "b": [parse_term("(Sort (Filter IsEven []))", NAMES)]}
+    tasks = {k: list_task(k, [((1, 2), [])]) for k in corpus}
+    pat = p("(Filter IsEven [])")
+    got = finalize(pat, count_matches(pat, corpus), FULL,
+                   annotate_corpus(corpus, tasks, FULL), "fn_0")
+    assert got == Rejection("duplicate-constant", "[]")
+    res = mine(corpus, FULL, tasks)
+    assert res.abstractions == []
+    assert "'duplicate-constant': 1" in res.report
+    assert res.library.constants == FULL.constants
+
+
 def test_prune_on_off_agree():
     corpus_texts = {
         "a": "(Map (lam (Add $0 1)) (Sort xs))",

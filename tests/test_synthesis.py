@@ -1,18 +1,28 @@
-"""Bottom-up search tests: signatures, the value store, lifting, and
-search-vs-exhaustive agreement."""
+"""Bottom-up search tests: signatures, the value store, lifting,
+search-vs-exhaustive agreement, and cached argument selection against the
+full-sort reference."""
 
+import math
+import os
 import random
 
+from hypothesis import given, settings, strategies as st
+
+import pbesynth
 from pbesynth.dsl import DSLibrary, default_list_dsl
+from pbesynth.guidance import (
+    FEATURE_DIM, LinearScorer, TraceGenConfig, generate_traces, train_scorer,
+)
 from pbesynth.lang import (
-    INT, INT_LIST, EvalLimits, format_term, parse_term, term_size,
+    INT, INT_LIST, Arrow, EvalLimits, format_term, parse_term, term_size,
 )
 from pbesynth.synthesis import (
-    SearchConfig, UniformScorer, ValueEntry, ValueStore, beam_select_args,
-    build_entry, compute_signature, eval_outcomes, exhaustive_search,
-    init_store, lib_placeholders, search, sig_from_outcomes, signature_solves,
+    SearchConfig, UniformScorer, ValueEntry, ValueStore, _sampler_dists,
+    beam_select_args, build_entry, compute_signature, eval_outcomes,
+    exhaustive_search, init_store, lib_placeholders, make_context, search,
+    sig_from_outcomes, signature_solves,
 )
-from pbesynth.task import Task
+from pbesynth.task import Task, load_tasks
 
 FULL = default_list_dsl()
 PRIMS = FULL.prims()
@@ -269,3 +279,183 @@ def test_solution_weight_matches_term_size():
     lib = sub_dsl("Add", "Map", "Reverse")
     res = exhaustive_search(TASK, lib, max_weight=5)
     assert res.solution.weight == term_size(res.solution.term)
+
+
+def test_concrete_signature_formats_opaque_terms_only_for_function_values():
+    t = parse_term("(Head xs)", NAMES)
+    outs = (("ok", 1), ("e", "domain"))
+    assert sig_from_outcomes(t, outs) == ("v", (("i", 1), ("e", "domain")))
+    fn = (("fn", len), ("ok", 2))
+    assert sig_from_outcomes(t, fn) == \
+        ("v", (("opaque", "(Head xs)"), ("i", 2)))
+
+
+# ---------------------------------------------------------------------------
+# Cached argument selection vs the full-sort reference
+# ---------------------------------------------------------------------------
+
+def reference_beam_select_args(op, store, scorer, beam_size, task,
+                               allowed_sets):
+    """beam_select_args without the score cache: every beam prefix re-scores
+    every candidate, then a full sort and truncate."""
+    per_position = []
+    for j, pty in enumerate(op.signature.params):
+        cands = store.candidates_for(pty, allowed_sets)
+        if not cands:
+            return []
+        per_position.append((pty, cands, make_context(task, store, op, j)))
+    beams = [((), 0.0, 0, ())]
+    for pty, cands, ctx in per_position:
+        nxt = []
+        for entries, score, wsum, key in beams:
+            prefix = tuple(e for e, _ in entries)
+            for e in cands:
+                s = scorer.score(op.name, prefix, e, ctx)
+                nxt.append((entries + ((e, pty),), score + s,
+                            wsum + e.weight, key + (e.index,)))
+        nxt.sort(key=lambda b: (-b[1], b[2], b[3]))
+        beams = nxt[:beam_size]
+    out = []
+    for entries, _score, _wsum, _key in beams:
+        free = set()
+        for e, pty in entries:
+            if not isinstance(pty, Arrow):
+                free |= set(e.free_vars)
+        if not free or any(free <= s for s in allowed_sets):
+            out.append(entries)
+    return out
+
+
+def reference_sampler_dists(op, store, scorer, task, allowed):
+    dists = []
+    for j, pty in enumerate(op.signature.params):
+        cands = store.candidates_for(pty, allowed)
+        if not cands:
+            return None
+        ctx = make_context(task, store, op, j)
+        scores = [scorer.score(op.name, (), e, ctx) for e in cands]
+        m = max(scores)
+        weights = [math.exp(s - m) for s in scores]
+        total = sum(weights)
+        dists.append([((e, pty), w / total) for e, w in zip(cands, weights)])
+    return dists
+
+
+DIFF_LIB = sub_dsl("Add", "Subtract", "Head", "Take", "IsEven", "Map",
+                   "Filter", "ZipWith")
+DIFF_ALLOWED = lib_placeholders(DIFF_LIB)[1]
+
+
+def _grow_store(data):
+    """A store for TASK grown by a drawn sequence of operation applications,
+    so it holds concrete values, lambda bodies and errors."""
+    store = init_store(TASK, DIFF_LIB, LIMITS)
+    prims = DIFF_LIB.prims()
+    for _ in range(data.draw(st.integers(0, 25))):
+        op = data.draw(st.sampled_from(DIFF_LIB.operations))
+        tup = []
+        for pty in op.signature.params:
+            cands = store.candidates_for(pty, DIFF_ALLOWED)
+            tup.append((cands[data.draw(st.integers(0, len(cands) - 1))],
+                        pty))
+        store.add(build_entry(op, tuple(tup), TASK, LIMITS, prims))
+    return store
+
+
+_coef = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_vectors = st.one_of(
+    # all zero: every candidate ties, so only weight and index decide
+    st.just([0.0] * FEATURE_DIM),
+    # small integers: many ties, and the prefix-match feature matters
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=FEATURE_DIM,
+             max_size=FEATURE_DIM),
+    # general floats with a nonzero prefix-match coefficient
+    st.tuples(st.lists(_coef, min_size=FEATURE_DIM, max_size=FEATURE_DIM),
+              _coef.filter(lambda x: x != 0.0)).map(
+        lambda t: t[0][:10] + [t[1]] + t[0][11:]),
+)
+
+
+def _scorers(data):
+    names = DIFF_LIB.op_names()
+    known = data.draw(st.lists(st.sampled_from(names), unique=True))
+    return LinearScorer({n: data.draw(_vectors) for n in known})
+
+
+def _ids(tuples):
+    return [tuple((e.index, pty) for e, pty in tup) for tup in tuples]
+
+
+def _dist_ids(dists):
+    if dists is None:
+        return None
+    return [[(e.index, pty, p) for (e, pty), p in d] for d in dists]
+
+
+def _assert_selection_matches_reference(store, scorer):
+    for op in DIFF_LIB.operations:
+        for beam in (1, 3, 10):
+            got = beam_select_args(op, store, scorer, beam, TASK,
+                                   DIFF_ALLOWED)
+            want = reference_beam_select_args(op, store, scorer, beam, TASK,
+                                              DIFF_ALLOWED)
+            assert _ids(got) == _ids(want), (op.name, beam)
+        assert _dist_ids(_sampler_dists(op, store, scorer, TASK,
+                                        DIFF_ALLOWED)) == \
+            _dist_ids(reference_sampler_dists(op, store, scorer, TASK,
+                                              DIFF_ALLOWED))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cached_selection_matches_full_sort_reference(data):
+    store = _grow_store(data)
+    scorer = _scorers(data)
+    _assert_selection_matches_reference(store, scorer)
+    # improve one entry in place, as ValueStore.add does when it finds a
+    # lighter term with the same signature; the cache must not go stale
+    heavy = [e for e in store.entries if e.weight > 0]
+    if heavy:
+        e = heavy[data.draw(st.integers(0, len(heavy) - 1))]
+        lighter = data.draw(st.integers(0, e.weight - 1))
+        _canon, is_new, improved = store.add(
+            ValueEntry(e.term, lighter, e.ty, e.signature, e.free_vars))
+        assert improved and not is_new and e.weight == lighter
+    _assert_selection_matches_reference(store, scorer)
+
+
+def test_score_cache_belongs_to_one_scorer():
+    store = init_store(TASK, DIFF_LIB, LIMITS)
+    a, b = LinearScorer({}), LinearScorer({})
+    store.score_cache(a)[("Add", 0, 0, 1, False)] = 1.0
+    assert store.score_cache(a) == {("Add", 0, 0, 1, False): 1.0}
+    assert store.score_cache(b) == {}
+
+
+# ---------------------------------------------------------------------------
+# Trajectory pin: guided search with a trained scorer
+# ---------------------------------------------------------------------------
+
+# (program, candidates_evaluated, final store size) per task, recorded
+# before argument selection cached scores; a change to selection that keeps
+# these keeps the search trajectory.
+PINNED_TRAJECTORY = {
+    "reverse": ("(Reverse xs)", 85, 72),
+    "sort": ("(Sort xs)", 95, 78),
+    "succ_all": (None, 300, 177),
+}
+
+
+def test_guided_search_trajectory_is_pinned():
+    scorer = train_scorer(generate_traces(
+        FULL, TraceGenConfig(max_weight=2, episodes=2)))
+    tasks = {t.name: t for t in load_tasks(os.path.join(
+        os.path.dirname(pbesynth.__file__), "data", "tasks.txt"))}
+    cfg = SearchConfig(per_task_timeout=0.3, restart_interval=0.3,
+                       beam_size=10, max_weight=8, virtual_clock=True)
+    got = {}
+    for name in PINNED_TRAJECTORY:
+        r = search(tasks[name], FULL, scorer, cfg)
+        got[name] = (format_term(r.program) if r.solved else None,
+                     r.candidates_evaluated, len(r.store.entries))
+    assert got == PINNED_TRAJECTORY
