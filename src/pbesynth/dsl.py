@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Optional
 
 from .lang import (
     INT, BOOL, INT_LIST, Arrow, Term, Lam, ConstInt, ConstBool, ConstList,
-    EvalLimits, EvalError, LangError, _Evaluator, evaluate, format_term,
+    EvalLimits, EvalError, LangError, LearnedOp, evaluate, format_term,
     infer_type, parse_term, parse_type,
 )
 
@@ -161,22 +161,12 @@ def make_library(ops: Iterable[Operation], constants) -> DSLibrary:
 # Extension with mined abstractions
 # ---------------------------------------------------------------------------
 
-def abstraction_func(body: Lam, prims: dict,
-                     limits: EvalLimits = EvalLimits()) -> Callable:
+def abstraction_func(body: Lam, prims: dict) -> LearnedOp:
     """Executable semantics for a learned abstraction: apply its body lambda.
 
-    Each invocation runs in a fresh evaluator over the capturing library's
-    primitives; argument closures from the caller keep ticking the caller's
-    budget when invoked.
-    """
-    snapshot = dict(prims)
-
-    def func(*args):
-        ev = _Evaluator(snapshot, {}, limits)
-        clos = ev.eval(body, [])
-        return clos(*args)
-
-    return func
+    The evaluator that invokes the operation runs the body itself, under
+    its own limits, step budget and primitives (see lang.LearnedOp)."""
+    return LearnedOp(body, prims)
 
 
 def extend_with_abstraction(lib: DSLibrary, abstraction,

@@ -575,11 +575,64 @@ class _PrimValue:
 
     def __call__(self, *args):
         self._ev._tick()
-        return self._ev.check_value(self._ev._invoke(self.fn, args))
+        return check_value(self._ev._invoke(self.fn, args), self._ev.limits)
+
+
+class LearnedOp:
+    """The executable semantics of a learned operation: its body lambda.
+
+    An evaluator that invokes it (directly, as a first-class value, or
+    through invoke_prim) runs the body itself, so the caller's limits, step
+    budget and primitives cover the body as if it were inlined.  Called as
+    a plain function, outside any evaluation, it runs under default limits
+    over `prims`."""
+
+    __slots__ = ("body", "prims")
+
+    def __init__(self, body: Lam, prims: Mapping[str, Callable]):
+        self.body = body
+        self.prims = prims
+
+    def __call__(self, *args):
+        return invoke_prim(self, args, EvalLimits(), self.prims)
 
 
 def is_function_value(v) -> bool:
     return callable(v) and not isinstance(v, (bool, int, list))
+
+
+def check_value(v: Value, lim: EvalLimits) -> Value:
+    """`v` if it is a legal runtime value within `lim`, else EvalError."""
+    t = type(v)
+    if t is bool:
+        return v
+    if t is int:
+        if abs(v) > lim.max_int_magnitude:
+            raise EvalError("bounds", f"integer {v} out of range")
+        return v
+    if t is list:
+        if len(v) > lim.max_list_len:
+            raise EvalError("bounds", f"list of length {len(v)} too long")
+        for x in v:
+            if type(x) is not int:
+                raise EvalError("domain", "lists hold integers only")
+            if abs(x) > lim.max_int_magnitude:
+                raise EvalError("bounds", f"integer {x} out of range")
+        return v
+    if is_function_value(v):
+        return v
+    raise EvalError("domain", f"bad runtime value {v!r}")
+
+
+def _call_prim(fn, args):
+    """Apply a primitive's Python function, turning its Python errors into
+    domain errors."""
+    try:
+        return fn(*args)
+    except EvalError:
+        raise
+    except (ZeroDivisionError, IndexError, ValueError, OverflowError) as e:
+        raise EvalError("domain", str(e)) from None
 
 
 class _Evaluator:
@@ -594,27 +647,6 @@ class _Evaluator:
         self.steps += 1
         if self.steps > self.limits.max_steps:
             raise EvalError("steps", "step limit exceeded")
-
-    def check_value(self, v: Value) -> Value:
-        lim = self.limits
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, int):
-            if abs(v) > lim.max_int_magnitude:
-                raise EvalError("bounds", f"integer {v} out of range")
-            return v
-        if isinstance(v, list):
-            if len(v) > lim.max_list_len:
-                raise EvalError("bounds", f"list of length {len(v)} too long")
-            for x in v:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise EvalError("domain", "lists hold integers only")
-                if abs(x) > lim.max_int_magnitude:
-                    raise EvalError("bounds", f"integer {x} out of range")
-            return v
-        if is_function_value(v):
-            return v
-        raise EvalError("domain", f"bad runtime value {v!r}")
 
     def eval(self, t: Term, env) -> Value:
         self._tick()
@@ -646,20 +678,18 @@ class _Evaluator:
                 fn = self.prims.get(t.fn.name)
                 if fn is None:
                     raise EvalError("unknown", f"unknown operation {t.fn.name!r}")
-                return self.check_value(self._invoke(fn, args))
+                return check_value(self._invoke(fn, args), self.limits)
             fv = self.eval(t.fn, env)
             if not callable(fv) or isinstance(fv, (bool, int, list)):
                 raise EvalError("domain", "applying a non-function value")
-            return self.check_value(fv(*args))
+            return check_value(fv(*args), self.limits)
         raise EvalError("unknown", f"not a term: {t!r}")
 
     def _invoke(self, fn, args):
-        try:
-            return fn(*args)
-        except EvalError:
-            raise
-        except (ZeroDivisionError, IndexError, ValueError, OverflowError) as e:
-            raise EvalError("domain", str(e)) from None
+        if type(fn) is LearnedOp:
+            # evaluated as the inlined ((lam body) args) would be
+            return self.eval(fn.body, [])(*args)
+        return _call_prim(fn, args)
 
 
 def evaluate(t: Term, inputs: Mapping[str, Value], limits: EvalLimits,
@@ -667,12 +697,15 @@ def evaluate(t: Term, inputs: Mapping[str, Value], limits: EvalLimits,
     """Call-by-value evaluation.  Raises EvalError on step/bound/domain
     failures; never crashes on well-formed terms."""
     ev = _Evaluator(prims, inputs, limits)
-    return ev.check_value(ev.eval(t, []))
+    return check_value(ev.eval(t, []), limits)
 
 
 def invoke_prim(fn: Callable, args, limits: EvalLimits,
                 prims: Mapping[str, Callable]) -> Value:
     """Apply one primitive to already-evaluated argument values, with the
-    same error conversion and result checking as the evaluator."""
-    ev = _Evaluator(prims, {}, limits)
-    return ev.check_value(ev._invoke(fn, args))
+    same error conversion and result checking as the evaluator.  Only a
+    learned operation needs an evaluator (and a step budget) of its own."""
+    if type(fn) is LearnedOp:
+        return check_value(_Evaluator(prims, {}, limits)._invoke(fn, args),
+                           limits)
+    return check_value(_call_prim(fn, args), limits)

@@ -4,24 +4,35 @@ A sampler state is a prefix tree of partial choices.  Every node tracks the
 unsampled probability mass below it; drawing a complete tuple subtracts its
 path mass from all ancestors, so no tuple is ever produced twice and the
 first draw from a fresh state follows the input distribution exactly.
-Exhaustion is tracked structurally (booleans, not float comparisons), so a
-support of size k yields exactly k distinct tuples.
+Exhaustion is tracked structurally (counts of exhausted children, not float
+comparisons), so a support of size k yields exactly k distinct tuples.
+
+Nodes are created only when a draw passes through them, as in
+UniqueRandomizer (Shi, Bieber & Sutton, ICML 2020).  A child no draw has
+visited still holds its full mass, ``parent.orig * p``, so each node keeps
+one weight per child: that mass until the child is visited, then the
+child's remaining mass, and 0.0 once the child is exhausted.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 
 class _Node:
-    __slots__ = ("orig", "remaining", "children", "exhausted")
+    __slots__ = ("orig", "remaining", "exhausted", "weights", "children",
+                 "spent")
 
     def __init__(self, orig: float):
         self.orig = orig
         self.remaining = orig
-        self.children: Optional[list] = None
         self.exhausted = False
+        self.weights: Optional[List[float]] = None  # per child, see above
+        self.children: Optional[dict] = None  # child index -> visited _Node
+        self.spent = 0  # exhausted children
 
 
 class UniqueSampler:
@@ -33,12 +44,14 @@ class UniqueSampler:
     """
 
     def __init__(self, position_dists: Sequence[Sequence[Tuple[object, float]]]):
-        self.dists = []
+        self.choices = []
+        self.probs = []
         for dist in position_dists:
             total = sum(p for _, p in dist)
             if not dist or total <= 0:
                 raise ValueError("each position needs positive total mass")
-            self.dists.append([(c, p / total) for c, p in dist])
+            self.choices.append([c for c, _ in dist])
+            self.probs.append([p / total for _, p in dist])
         self.root = _Node(1.0)
 
     @property
@@ -47,8 +60,8 @@ class UniqueSampler:
 
     def support_size(self) -> int:
         n = 1
-        for dist in self.dists:
-            n *= len(dist)
+        for choices in self.choices:
+            n *= len(choices)
         return n
 
     def sample(self, rng: random.Random) -> Optional[tuple]:
@@ -57,50 +70,53 @@ class UniqueSampler:
             return None
         node = self.root
         trail: List[_Node] = [node]
-        choices = []
-        for depth, dist in enumerate(self.dists):
-            if node.children is None:
-                node.children = [_Node(node.orig * p) for _, p in dist]
-            idx = self._pick(node, rng)
-            choices.append(dist[idx][0])
-            node = node.children[idx]
+        picks = []
+        drawn = []
+        for choices, probs in zip(self.choices, self.probs):
+            if node.weights is None:
+                orig = node.orig
+                node.weights = [orig * p for p in probs]
+                node.children = {}
+            idx = _pick(node, rng)
+            drawn.append(choices[idx])
+            picks.append(idx)
+            child = node.children.get(idx)
+            if child is None:
+                child = node.children[idx] = _Node(node.orig * probs[idx])
+            node = child
             trail.append(node)
         # `node` is now the leaf for this complete tuple
         consumed = node.remaining
         node.exhausted = True
         for anc in trail:
             anc.remaining = max(anc.remaining - consumed, 0.0)
-        for anc in reversed(trail[:-1]):
-            if anc.children is not None and all(c.exhausted for c in anc.children):
-                anc.exhausted = True
+        for depth in range(len(picks) - 1, -1, -1):
+            parent, idx, child = trail[depth], picks[depth], trail[depth + 1]
+            if child.exhausted:
+                parent.weights[idx] = 0.0
+                parent.spent += 1
+                parent.exhausted = parent.spent == len(parent.weights)
             else:
-                break
-        return tuple(choices)
-
-    def _pick(self, node: _Node, rng: random.Random) -> int:
-        live = [i for i, c in enumerate(node.children) if not c.exhausted]
-        weights = [node.children[i].remaining for i in live]
-        total = sum(weights)
-        if total <= 0.0:
-            # float cancellation: fall back to uniform over live children
-            return live[int(rng.random() * len(live)) % len(live)]
-        x = rng.random() * total
-        acc = 0.0
-        for i, w in zip(live, weights):
-            acc += w
-            if x < acc:
-                return i
-        return live[-1]
+                parent.weights[idx] = child.remaining
+        return tuple(drawn)
 
 
-def unique_sample(position_dists, budget: int, state: UniqueSampler,
-                  rng: random.Random):
-    """Draw up to `budget` distinct tuples from `state`; returns fewer once
-    the support is exhausted."""
-    out = []
-    for _ in range(budget):
-        t = state.sample(rng)
-        if t is None:
-            break
-        out.append(t)
-    return out
+def _pick(node: _Node, rng: random.Random) -> int:
+    """A live child of `node`, drawn in proportion to its weight.  Exhausted
+    children weigh 0.0, which leaves every sum and running sum unchanged, so
+    the draw equals one over the live children alone."""
+    weights = node.weights
+    total = sum(weights)
+    if total <= 0.0:
+        # float cancellation: fall back to uniform over live children
+        live = _live(node)
+        return live[int(rng.random() * len(live)) % len(live)]
+    x = rng.random() * total
+    idx = bisect_right(list(accumulate(weights)), x)
+    return idx if idx < len(weights) else _live(node)[-1]
+
+
+def _live(node: _Node) -> List[int]:
+    children = node.children
+    return [i for i in range(len(node.weights))
+            if i not in children or not children[i].exhausted]

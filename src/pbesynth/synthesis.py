@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 import time
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -241,12 +242,20 @@ class ValueEntry:
 
 
 class ValueStore:
+    """Signature-deduplicated entries, append-only: `add` appends a new
+    signature or lowers an existing entry's weight in place, and logs the
+    index of every entry it improves in `improved`."""
+
     def __init__(self):
         self.by_sig: Dict[tuple, ValueEntry] = {}
         self.entries: List[ValueEntry] = []  # insertion order; index == position
         self.by_ty: Dict[Ty, List[ValueEntry]] = {}
+        self.improved: List[int] = []  # indices add() improved, in order
+        # (type, allowed sets) -> [list, by_ty[type] seen, by_ty[ret] seen]
+        self._cands: Dict[tuple, list] = {}
         self._scorer = None
         self._scores: Dict[tuple, float] = {}
+        self._rankings: Dict[tuple, _Ranking] = {}
 
     def __len__(self):
         return len(self.by_sig)
@@ -270,45 +279,103 @@ class ValueStore:
             old.term = entry.term
             old.weight = entry.weight
             old.provenance = entry.provenance
+            self.improved.append(old.index)
             return old, False, True
         return old, False, False
 
     def of_type(self, ty: Ty):
         return self.by_ty.get(ty, [])
 
-    def concrete(self, ty: Ty):
-        return [e for e in self.of_type(ty) if not e.free_vars]
-
     def candidates_for(self, pty: Ty, allowed_sets):
-        """Entries usable at a parameter of type `pty`, in insertion order."""
-        out = []
+        """Entries usable at a parameter of type `pty`, in insertion order.
+
+        One list per (type, allowed sets) is extended on each call from the
+        entries `by_ty` gained since the last one; the list is shared, so
+        callers must not mutate it.  For an arrow parameter the new entries
+        of its two sources all come after every old one, so sorting just
+        them by index keeps the whole list in insertion order."""
+        key = (pty, tuple(allowed_sets))
+        state = self._cands.get(key)
+        if state is None:
+            state = self._cands[key] = [[], 0, 0]
+        out, seen, seen_ret = state
+        same = self.by_ty.get(pty, ())
+        state[1] = len(same)
         if isinstance(pty, Arrow):
+            new = [e for e in same[seen:] if not e.free_vars]
             names = arrow_placeholder_names(pty)
-            for e in self.of_type(pty):
-                if not e.free_vars:
-                    out.append(e)
             if names is not None:
                 nameset = frozenset(names)
-                for e in self.of_type(pty.ret):
-                    if set(e.free_vars) <= nameset:
-                        out.append(e)
-                out.sort(key=lambda e: e.index)
+                bodies = self.by_ty.get(pty.ret, ())
+                state[2] = len(bodies)
+                new += [e for e in bodies[seen_ret:]
+                        if nameset.issuperset(e.free_vars)]
+                new.sort(key=_entry_index)
+            out += new
         else:
-            for e in self.of_type(pty):
-                if e.free_vars and not any(
-                        set(e.free_vars) <= s for s in allowed_sets):
-                    continue
-                out.append(e)
+            out += [e for e in same[seen:] if not e.free_vars or any(
+                s.issuperset(e.free_vars) for s in allowed_sets)]
         return out
 
     def score_cache(self, scorer) -> Dict[tuple, float]:
         """The scores `scorer` gave this store's entries, keyed by (op name,
         position, entry index, entry weight, is-last-choice); see
-        beam_select_args.  A different scorer starts an empty cache."""
+        beam_select_args.  A different scorer starts an empty cache, and
+        empty rankings."""
         if scorer is not self._scorer:
             self._scorer = scorer
             self._scores = {}
+            self._rankings = {}
         return self._scores
+
+    def ranking(self, scorer, name: str, position: int, cands,
+                ctx: "ScoreContext") -> "_Ranking":
+        """`cands`, the candidates of operation `name` at `position`, as
+        (-score, weight, index, entry) tuples in ascending order, each scored
+        as not the last choice.  The ranking is kept between calls: entries
+        new to `cands` are inserted, and entries `add` improved since are
+        re-keyed, since their weight is part of the score key."""
+        cache = self.score_cache(scorer)
+        r = self._rankings.get((name, position))
+        if r is None or r.cands is not cands:
+            r = self._rankings[(name, position)] = _Ranking(cands)
+        order, keys = r.order, r.keys
+
+        def insert(e):
+            k = (name, position, e.index, e.weight, False)
+            s = cache.get(k)
+            if s is None:
+                s = cache[k] = scorer.score(name, (), e, ctx)
+            keys[e.index] = item = (-s, e.weight, e.index, e)
+            insort(order, item)
+
+        for i in self.improved[r.logged:]:
+            old = keys.get(i)
+            if old is not None:
+                del order[bisect_left(order, old)]
+                insert(old[3])
+        r.logged = len(self.improved)
+        for e in cands[r.seen:]:
+            insert(e)
+        r.seen = len(cands)
+        return r
+
+
+def _entry_index(e: ValueEntry) -> int:
+    return e.index
+
+
+class _Ranking:
+    """ValueStore.ranking's state for one (operation, position)."""
+
+    __slots__ = ("cands", "seen", "logged", "order", "keys")
+
+    def __init__(self, cands):
+        self.cands = cands  # the shared candidates_for list it follows
+        self.seen = 0  # how much of `cands` is in `order`
+        self.logged = 0  # how much of ValueStore.improved is applied
+        self.order: List[tuple] = []
+        self.keys: Dict[int, tuple] = {}  # entry index -> its tuple in order
 
 
 def arg_term(entry: ValueEntry, pty: Ty) -> Term:
@@ -408,8 +475,7 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
         beams = itertools.product(*[[(e, pty) for e in cands]
                                     for pty, cands, _ctx in per_position])
     else:
-        beams = _beam(op.name, per_position, store.score_cache(scorer),
-                      scorer, beam_size)
+        beams = _beam(op.name, per_position, store, scorer, beam_size)
     out = []
     for entries in beams:
         free = set()
@@ -424,29 +490,76 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
     return out
 
 
-def _beam(name, per_position, cache, scorer, beam_size):
+def _beam(name, per_position, store, scorer, beam_size):
     """The `beam_size` best entry tuples under the key (-score, total
-    weight, index-key), filling positions left to right."""
+    weight, index-key), filling positions left to right.
+
+    Each position's ranking orders its candidates by (-s, weight, index);
+    a beam's extensions order by (-(beam score + s), weight, index).  Only
+    the extensions that can be among a beam's best `beam_size` (see
+    _contenders), plus its own last choice scored as such, enter the heap,
+    so the survivors are the same as from scoring every extension."""
+    cache = store.score_cache(scorer)
     beams = [((), 0.0, 0, ())]  # (entries, score, weight, index-key)
     for j, (pty, cands, ctx) in enumerate(per_position):
+        ranking = store.ranking(scorer, name, j, cands, ctx)
         scored = []
         for b, (entries, score, wsum, key) in enumerate(beams):
-            prefix = tuple(e for e, _ in entries)
-            last = prefix[-1] if prefix else None
-            for e in cands:
-                k = (name, j, e.index, e.weight, e is last)
+            last = entries[-1][0] if entries else None
+            # (key, index) orders as key + (index,): the keys of one
+            # position have equal length.  It is unique per tuple, so
+            # comparisons never reach the beam number or the entry.
+            for total, (_neg, w, i, e) in _contenders(ranking.order, last,
+                                                      score, beam_size):
+                scored.append((-total, wsum + w, key, i, b, e))
+            if last is not None and last.index in ranking.keys:
+                k = (name, j, last.index, last.weight, True)
                 s = cache.get(k)
                 if s is None:
-                    s = cache[k] = scorer.score(name, prefix, e, ctx)
-                # (key, index) orders as key + (index,): the keys of one
-                # position have equal length.  It is unique per tuple, so
-                # comparisons never reach the beam number or the entry.
-                scored.append((-(score + s), wsum + e.weight, key, e.index,
-                               b, e))
+                    prefix = tuple(e for e, _ in entries)
+                    s = cache[k] = scorer.score(name, prefix, last, ctx)
+                scored.append((-(score + s), wsum + last.weight, key,
+                               last.index, b, last))
         beams = [(beams[b][0] + ((e, pty),), -neg, w, key + (i,))
                  for neg, w, key, i, b, e
                  in heapq.nsmallest(beam_size, scored)]
     return [entries for entries, _score, _wsum, _key in beams]
+
+
+def _contenders(order, last, score, beam_size):
+    """(beam score + s, ranking item) for each item of a ranking `order`
+    that can be among the `beam_size` best extensions of a beam with score
+    `score`, other than its last choice `last`.
+
+    Those are the first `beam_size` items, and after them the items whose
+    beam score + s rounds to the same float as the last of those: float
+    addition can tie different scores, and a tie falls to weight and index.
+    Items with the same s are already in (weight, index) order, so past the
+    first `beam_size` of one such group the rest of it is skipped."""
+    out = []
+    taken = in_group = 0
+    group = cutoff = None
+    pos, n = 0, len(order)
+    while pos < n:
+        item = order[pos]
+        pos += 1
+        neg = item[0]
+        if item[3] is last:
+            continue
+        total = score - neg
+        if taken < beam_size:
+            taken += 1
+            cutoff = total
+        elif total != cutoff:
+            break
+        if neg != group:
+            group, in_group = neg, 0
+        elif in_group == beam_size:
+            pos = bisect_right(order, (neg, math.inf), pos)
+            continue
+        in_group += 1
+        out.append((total, item))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +812,9 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     last_restart = 0.0
     solution: Optional[ValueEntry] = None
     # Incremental full-product state (unbounded beam only): per op, how much
-    # of the store it has already crossed, and which entries improved since.
+    # of the store and of its improvement log it has already crossed.
     seen_len: Dict[str, int] = {op.name: 0 for op in lib.operations}
-    improved_since: Dict[str, set] = {op.name: set() for op in lib.operations}
+    seen_improved: Dict[str, int] = {op.name: 0 for op in lib.operations}
 
     for e in store.entries:
         if signature_solves(e.signature, task):
@@ -729,7 +842,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             samplers.clear()
             for op in lib.operations:
                 seen_len[op.name] = 0
-                improved_since[op.name].clear()
+                seen_improved[op.name] = 0
             return True
         return False
 
@@ -750,9 +863,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         entry = build_entry(op, tup, task, cfg.eval_limits, prims)
         candidates += 1
         canon, is_new, improved = store.add(entry)
-        if improved:
-            for s in improved_since.values():
-                s.add(canon.index)
         if is_new and solution is None and \
                 signature_solves(canon.signature, task):
             solution = canon
@@ -765,12 +875,12 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         attempted = False
         for op in lib.operations:
             if cfg.beam_size is None:
-                tuples = _fresh_product(op, store, allowed,
-                                        seen_len[op.name],
-                                        improved_since[op.name],
-                                        cfg.max_weight)
+                tuples = _fresh_product(
+                    op, store, allowed, seen_len[op.name],
+                    set(store.improved[seen_improved[op.name]:]),
+                    cfg.max_weight)
                 seen_len[op.name] = len(store.entries)
-                improved_since[op.name] = set()
+                seen_improved[op.name] = len(store.improved)
             else:
                 tuples = beam_select_args(op, store, scorer, cfg.beam_size,
                                           task, allowed)

@@ -10,7 +10,10 @@ from pbesynth.lang import (
     invoke_prim, is_closed, is_function_value, max_free_index, parse_term,
     parse_type, term_size,
 )
-from pbesynth.dsl import default_list_dsl
+from pbesynth.dsl import (
+    DSLibrary, LearnedAbstraction, Operation, abstraction_func,
+    default_list_dsl,
+)
 
 LIB = default_list_dsl()
 PRIMS = LIB.prims()
@@ -274,6 +277,84 @@ def test_invoke_prim_matches_evaluator_semantics():
     assert invoke_prim(PRIMS["Add"], [2, 3], LIMITS, PRIMS) == 5
     with pytest.raises(EvalError):
         invoke_prim(PRIMS["Head"], [[]], LIMITS, PRIMS)
+
+
+def test_invoke_prim_checks_results_like_the_evaluator():
+    tight = EvalLimits(max_int_magnitude=10, max_list_len=3)
+    with pytest.raises(EvalError) as e:
+        invoke_prim(PRIMS["Add"], [9, 9], tight, PRIMS)
+    assert (e.value.kind, str(e.value)) == ("bounds", "integer 18 out of range")
+    with pytest.raises(EvalError) as e:
+        invoke_prim(PRIMS["Range"], [0, 4], tight, PRIMS)
+    assert e.value.kind == "bounds"
+    with pytest.raises(EvalError) as e:
+        invoke_prim(lambda: [1, True], [], tight, PRIMS)
+    assert (e.value.kind, str(e.value)) == \
+        ("domain", "lists hold integers only")
+    assert invoke_prim(lambda: True, [], tight, PRIMS) is True
+
+
+# ---------------------------------------------------------------------------
+# Learned operations run in the calling evaluator
+# ---------------------------------------------------------------------------
+
+def _with_learned(*defs):
+    """LIB plus learned operations given as (name, type, body text)."""
+    lib = LIB
+    for name, ty, text in defs:
+        body = parse_term(text, set(lib.op_names()))
+        op = Operation(name, parse_type(ty), abstraction_func(body, lib.prims()),
+                       provenance=LearnedAbstraction(body))
+        lib = DSLibrary(lib.operations + (op,), lib.constants)
+    return lib
+
+
+RANGE_MAP = "(Map (lam (Add $0 1)) (Range 0 $0))"
+LEARNED = _with_learned(
+    ("fn_0", "(Int) -> IntList", f"(lam {RANGE_MAP})"),
+    ("fn_1", "(Int) -> Int", f"(lam (Sum {RANGE_MAP}))"))
+LEARNED_NAMES = set(LEARNED.op_names())
+
+
+def _outcome(text, limits, **inputs):
+    try:
+        return evaluate(parse_term(text, LEARNED_NAMES), inputs, limits,
+                        LEARNED.prims())
+    except EvalError as e:
+        return ("error", e.kind)
+
+
+def test_learned_op_runs_under_callers_step_budget():
+    small = EvalLimits(max_steps=50)
+    inlined = "(Map (lam (Add $0 1)) (Range 0 n))"
+    assert _outcome(inlined, small, n=500) == ("error", "steps")
+    assert _outcome("(fn_0 n)", small, n=500) == ("error", "steps")
+    assert _outcome("(fn_0 n)", LIMITS, n=500) == \
+        _outcome(inlined, LIMITS, n=500) == list(range(1, 501))
+    with pytest.raises(EvalError) as e:
+        invoke_prim(LEARNED.prims()["fn_0"], [500], small, LEARNED.prims())
+    assert e.value.kind == "steps"
+
+
+def test_learned_op_inside_higher_order_primitive_keeps_the_budget():
+    inlined = f"(Map (lam (Sum {RANGE_MAP})) xs)"
+    for text in ("(Map fn_1 xs)", inlined):
+        assert _outcome(text, EvalLimits(max_steps=50), xs=[500]) == \
+            ("error", "steps")
+        assert _outcome(text, LIMITS, xs=[500, 2]) == [125250, 3]
+
+
+def test_learned_op_costs_what_its_inlined_body_costs():
+    # (fn_0 n) and ((lam body) n) take the same steps, so they fail and
+    # succeed under exactly the same budgets
+    for steps in range(1, 40):
+        limits = EvalLimits(max_steps=steps)
+        assert _outcome("(fn_0 n)", limits, n=4) == \
+            _outcome(f"((lam {RANGE_MAP}) n)", limits, n=4), steps
+
+
+def test_learned_op_called_directly_uses_default_limits():
+    assert LEARNED.prims()["fn_0"](3) == [1, 2, 3]
 
 
 @given(st.lists(st.integers(-20, 20), max_size=6),

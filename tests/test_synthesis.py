@@ -18,7 +18,7 @@ from pbesynth.lang import (
 )
 from pbesynth.synthesis import (
     SearchConfig, UniformScorer, ValueEntry, ValueStore, _sampler_dists,
-    beam_select_args, build_entry, compute_signature, eval_outcomes,
+    arrow_placeholder_names, beam_select_args, build_entry, compute_signature, eval_outcomes,
     exhaustive_search, init_store, lib_placeholders, make_context, search,
     sig_from_outcomes, signature_solves,
 )
@@ -346,12 +346,11 @@ DIFF_LIB = sub_dsl("Add", "Subtract", "Head", "Take", "IsEven", "Map",
 DIFF_ALLOWED = lib_placeholders(DIFF_LIB)[1]
 
 
-def _grow_store(data):
-    """A store for TASK grown by a drawn sequence of operation applications,
+def _grow(store, data, max_steps=25):
+    """Grow a store for TASK by a drawn sequence of operation applications,
     so it holds concrete values, lambda bodies and errors."""
-    store = init_store(TASK, DIFF_LIB, LIMITS)
     prims = DIFF_LIB.prims()
-    for _ in range(data.draw(st.integers(0, 25))):
+    for _ in range(data.draw(st.integers(0, max_steps))):
         op = data.draw(st.sampled_from(DIFF_LIB.operations))
         tup = []
         for pty in op.signature.params:
@@ -362,7 +361,23 @@ def _grow_store(data):
     return store
 
 
+def _improve(store, data):
+    """Lower the weight of a drawn entry in place, as ValueStore.add does
+    when it finds a lighter term with the same signature."""
+    heavy = [e for e in store.entries if e.weight > 0]
+    if not heavy:
+        return
+    e = heavy[data.draw(st.integers(0, len(heavy) - 1))]
+    lighter = data.draw(st.integers(0, e.weight - 1))
+    _canon, is_new, improved = store.add(
+        ValueEntry(e.term, lighter, e.ty, e.signature, e.free_vars))
+    assert improved and not is_new and e.weight == lighter
+
+
 _coef = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+# magnitudes where adding two different scores can round to the same float
+_huge = st.tuples(st.floats(1e15, 1e17), st.booleans()).map(
+    lambda t: t[0] if t[1] else -t[0])
 _vectors = st.one_of(
     # all zero: every candidate ties, so only weight and index decide
     st.just([0.0] * FEATURE_DIM),
@@ -373,6 +388,14 @@ _vectors = st.one_of(
     st.tuples(st.lists(_coef, min_size=FEATURE_DIM, max_size=FEATURE_DIM),
               _coef.filter(lambda x: x != 0.0)).map(
         lambda t: t[0][:10] + [t[1]] + t[0][11:]),
+    # a huge bias next to small coefficients: beam score + score ties
+    # although the scores differ, so the tie-break by weight and index
+    # decides
+    st.tuples(_huge, st.lists(_coef, min_size=FEATURE_DIM - 1,
+                              max_size=FEATURE_DIM - 1)).map(
+        lambda t: [t[0]] + t[1]),
+    st.lists(st.one_of(_huge, _coef), min_size=FEATURE_DIM,
+             max_size=FEATURE_DIM),
 )
 
 
@@ -409,19 +432,77 @@ def _assert_selection_matches_reference(store, scorer):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cached_selection_matches_full_sort_reference(data):
-    store = _grow_store(data)
+    # several grow -> select -> improve rounds on one store, so candidate
+    # lists, rankings and cached scores carry over from round to round
+    store = init_store(TASK, DIFF_LIB, LIMITS)
     scorer = _scorers(data)
-    _assert_selection_matches_reference(store, scorer)
-    # improve one entry in place, as ValueStore.add does when it finds a
-    # lighter term with the same signature; the cache must not go stale
-    heavy = [e for e in store.entries if e.weight > 0]
-    if heavy:
-        e = heavy[data.draw(st.integers(0, len(heavy) - 1))]
-        lighter = data.draw(st.integers(0, e.weight - 1))
-        _canon, is_new, improved = store.add(
-            ValueEntry(e.term, lighter, e.ty, e.signature, e.free_vars))
-        assert improved and not is_new and e.weight == lighter
-    _assert_selection_matches_reference(store, scorer)
+    for _round in range(data.draw(st.integers(1, 4))):
+        _grow(store, data, max_steps=12)
+        _assert_selection_matches_reference(store, scorer)
+        for _ in range(data.draw(st.integers(0, 2))):
+            _improve(store, data)
+        _assert_selection_matches_reference(store, scorer)
+
+
+def test_selection_breaks_rounded_score_ties_like_reference():
+    # a bias of 1e16 makes beam score + score round to a multiple of 4, so
+    # candidates past the first `beam_size` of a ranking tie with them and
+    # win on weight or index
+    rng = random.Random(3)
+    store = init_store(TASK, DIFF_LIB, LIMITS)
+    prims = DIFF_LIB.prims()
+    for _ in range(40):
+        op = rng.choice(DIFF_LIB.operations)
+        tup = tuple((rng.choice(store.candidates_for(pty, DIFF_ALLOWED)), pty)
+                    for pty in op.signature.params)
+        store.add(build_entry(op, tup, TASK, LIMITS, prims))
+    for _ in range(5):
+        scorer = LinearScorer({
+            n: [1e16] + [rng.uniform(-3.0, 3.0) for _ in range(FEATURE_DIM - 1)]
+            for n in DIFF_LIB.op_names()})
+        _assert_selection_matches_reference(store, scorer)
+
+
+def reference_candidates_for(store, pty, allowed_sets):
+    """candidates_for as a fresh filter of the store's entries by type."""
+    out = []
+    if isinstance(pty, Arrow):
+        names = arrow_placeholder_names(pty)
+        out = [e for e in store.of_type(pty) if not e.free_vars]
+        if names is not None:
+            out += [e for e in store.of_type(pty.ret)
+                    if set(e.free_vars) <= set(names)]
+        return sorted(out, key=lambda e: e.index)
+    return [e for e in store.of_type(pty)
+            if not e.free_vars or any(set(e.free_vars) <= s
+                                      for s in allowed_sets)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incremental_candidates_match_fresh_filter(data):
+    store = init_store(TASK, DIFF_LIB, LIMITS)
+    params = sorted({pty for op in DIFF_LIB.operations
+                     for pty in op.signature.params}, key=repr)
+    # concrete function values, as an arrow-returning operation would add:
+    # an arrow parameter's list then merges two sources
+    functions = [(parse_term(text, NAMES), pty) for text, pty in (
+        ("(lam $0)", DIFF_LIB.op("Map").signature.params[0]),
+        ("IsEven", DIFF_LIB.op("Filter").signature.params[0]),
+        ("Add", DIFF_LIB.op("ZipWith").signature.params[0]))]
+    for allowed in (DIFF_ALLOWED, []):
+        for _round in range(data.draw(st.integers(1, 4))):
+            _grow(store, data, max_steps=10)
+            for _ in range(data.draw(st.integers(0, 2))):
+                term, pty = data.draw(st.sampled_from(functions))
+                store.add(ValueEntry(term, 1, pty, ("c", len(store.entries))))
+            for _ in range(data.draw(st.integers(0, 2))):
+                _improve(store, data)
+            for pty in params:
+                got = store.candidates_for(pty, allowed)
+                assert got == reference_candidates_for(store, pty, allowed)
+                assert [e.index for e in got] == \
+                    sorted(e.index for e in got)
 
 
 def test_score_cache_belongs_to_one_scorer():
