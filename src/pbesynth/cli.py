@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from .lang import EvalLimits, LangError, format_term
 from .dsl import default_list_dsl, load_library, save_library
@@ -51,7 +51,6 @@ def _parse_bool(text):
 _CONFIG_KEYS = {
     "iterations": int,
     "trials": int,
-    "folds": int,
     "workers": int,
     "random_seed": int,
     "train_steps": int,
@@ -68,7 +67,6 @@ _CONFIG_KEYS = {
     "episode_timeout": float,
     "per_abstraction_bonus": float,
     "tracegen_max_weight": int,
-    "parallel_searches": int,
     "episodes": int,
     "targets_per_episode": int,
     "max_negatives": int,
@@ -109,57 +107,28 @@ def read_config_file(path) -> dict:
 
 
 def build_run_config(opts: dict) -> RunConfig:
-    def pick(key, default):
-        return opts[key] if opts.get(key) is not None else default
+    """The run configuration with the options set in `opts`; every other
+    field keeps its dataclass default.  A key names the field it sets,
+    except `tracegen_max_weight` (TraceGenConfig.max_weight) and
+    `max_eval_steps` (the max_steps of both sections' eval_limits)."""
+    given = {k: v for k, v in opts.items() if v is not None}
+    if "max_eval_steps" in given:
+        given["eval_limits"] = EvalLimits(max_steps=given["max_eval_steps"])
 
-    limits = EvalLimits()
-    if opts.get("max_eval_steps") is not None:
-        limits = replace(limits, max_steps=opts["max_eval_steps"])
-    search_cfg = SearchConfig(
-        per_task_timeout=pick("per_task_timeout", 100.0),
-        restart_interval=pick("restart_interval", 10.0),
-        beam_size=pick("beam_size", 10),
-        max_weight=pick("max_weight", 15),
-        eval_limits=limits,
-        random_seed=pick("random_seed", 0),
-        stop_on_solve=pick("stop_on_solve", True),
-        virtual_clock=pick("virtual_clock", False),
-        virtual_seconds_per_candidate=pick("virtual_seconds_per_candidate",
-                                           0.001),
-        restarts_enabled=pick("restarts_enabled", True),
-    )
-    trace_cfg = TraceGenConfig(
-        episode_timeout=pick("episode_timeout", 1000.0),
-        per_abstraction_bonus=pick("per_abstraction_bonus", 100.0),
-        max_weight=pick("tracegen_max_weight", 15),
-        parallel_searches=pick("parallel_searches", 300),
-        episodes=pick("episodes", 20),
-        targets_per_episode=pick("targets_per_episode", 12),
-        max_negatives=pick("max_negatives", 32),
-        examples_per_episode=pick("examples_per_episode", 3),
-        random_seed=pick("random_seed", 0),
-        eval_limits=limits,
-    )
-    mine_cfg = MineConfig(
-        max_arity=pick("max_arity", 3),
-        max_rounds=pick("max_rounds", 3),
-        min_tasks=pick("min_tasks", 2),
-        min_nonvariable=pick("min_nonvariable", 2),
-        prune=pick("prune", True),
-        max_visited=pick("max_visited", 50000),
-    )
+    def picked(cls, **keys):
+        out = {}
+        for f in fields(cls):
+            key = keys.get(f.name, f.name)
+            if key in given:
+                out[f.name] = given[key]
+        return out
+
     return RunConfig(
-        iterations=pick("iterations", 10),
-        search=search_cfg,
-        tracegen=trace_cfg,
-        mining=mine_cfg,
-        trials=pick("trials", 5),
-        folds=pick("folds", 2),
-        workers=pick("workers", 1),
-        random_seed=pick("random_seed", 0),
-        train_steps=pick("train_steps", 10000),
-        output_dir=pick("output_dir", "runs"),
-    )
+        search=SearchConfig(**picked(SearchConfig)),
+        tracegen=TraceGenConfig(**picked(TraceGenConfig,
+                                         max_weight="tracegen_max_weight")),
+        mining=MineConfig(**picked(MineConfig)),
+        **picked(RunConfig))
 
 
 def _gather_options(args) -> dict:

@@ -126,7 +126,6 @@ class TraceGenConfig:
     episode_timeout: float = 1000.0
     per_abstraction_bonus: float = 100.0
     max_weight: int = 15
-    parallel_searches: int = 300
     episodes: int = 20
     targets_per_episode: int = 12
     max_negatives: int = 32
@@ -225,10 +224,7 @@ def _sig_outputs(entry):
 def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
     """Run seeded random episodes and replay reachable values as targets.
 
-    Episodes are independent; results are merged in episode order, so the
-    dataset is identical however the episodes are scheduled across workers
-    (parallel_searches only caps how many run concurrently; the build here
-    is sequential)."""
+    Episodes are independent and merged in episode order."""
     from .lang import format_term
 
     data = TraceDataset(lib.version)
@@ -273,7 +269,7 @@ def _emit_steps(data, ep_idx, entry, store, lib, task, allowed, rng,
     op = lib.op(op_name)
     chosen = [store.entries[idx] for idx, _kind in choices]
     for pos, (pty, pick) in enumerate(zip(op.signature.params, chosen)):
-        ctx = make_context(task, store, op, pos)
+        ctx = make_context(task, op, pos)
         prefix = tuple(chosen[:pos])
         positive = tuple(extract_features(op_name, prefix, pick, ctx))
         pool = [e for e in store.candidates_for(pty, allowed)

@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .lang import format_term, parse_term, term_size
+from .lang import Apply, PrimRef, format_term, parse_term, subtrees, term_size
 from .dsl import DSLibrary, load_library, save_library
 from .synthesis import SearchConfig, UniformScorer, search
 from .guidance import (
@@ -33,7 +33,6 @@ class RunConfig:
     tracegen: TraceGenConfig = TraceGenConfig()
     mining: MineConfig = MineConfig()
     trials: int = 5
-    folds: int = 2
     workers: int = 1
     random_seed: int = 0
     train_steps: int = 10000
@@ -44,21 +43,6 @@ class RunConfig:
             raise ValueError("iterations must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.folds not in (1, 2):
-            raise ValueError("folds must be 1 or 2")
-
-
-def make_folds(tasks, seed: int, folds: int = 2):
-    """Stable shuffled split of tasks into `folds` groups of near-equal
-    size; deterministic in the seed."""
-    import random as _random
-
-    order = sorted(tasks, key=lambda t: t.name)
-    _random.Random(seed).shuffle(order)
-    if folds == 1:
-        return [order]
-    half = (len(order) + 1) // 2
-    return [order[:half], order[half:]]
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +293,10 @@ class EvalReport:
 
 
 def _count_learned_uses(program, lib: DSLibrary, uses: dict):
-    from .lang import Apply, Lam, PrimRef
-
-    def walk(t):
-        if isinstance(t, Apply):
-            if isinstance(t.fn, PrimRef) and lib.has_op(t.fn.name) \
-                    and lib.op(t.fn.name).is_learned:
-                uses[t.fn.name] = uses.get(t.fn.name, 0) + 1
-            walk(t.fn)
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, Lam):
-            walk(t.body)
-
-    walk(program)
+    for _path, t in subtrees(program):
+        if isinstance(t, Apply) and isinstance(t.fn, PrimRef) \
+                and lib.has_op(t.fn.name) and lib.op(t.fn.name).is_learned:
+            uses[t.fn.name] = uses.get(t.fn.name, 0) + 1
 
 
 def evaluate(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,

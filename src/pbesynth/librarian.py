@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .lang import (
     Arrow, Ty, Term, Apply, BoundVar, ConstBool, ConstInt, ConstList,
     EvalError, InputVar, Lam, PrimRef, format_term, free_input_vars,
-    infer_type, max_free_index, term_size,
+    infer_type, max_free_index, replace_at, subterm_at, subtrees, term_size,
 )
 from .dsl import DSLibrary, zero_arity_literal
 
@@ -36,58 +36,31 @@ def is_hole(t) -> bool:
     return isinstance(t, Hole)
 
 
-def pattern_holes(p) -> List[int]:
-    """Hole ids in first-occurrence (preorder) order."""
-    seen: List[int] = []
-
-    def walk(t):
-        if isinstance(t, Hole):
-            if t.id not in seen:
-                seen.append(t.id)
-        elif isinstance(t, Apply):
-            walk(t.fn)
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, Lam):
-            walk(t.body)
-
-    walk(p)
-    return seen
-
-
 def hole_occurrences(p) -> List[Tuple[int, tuple]]:
     """(hole id, path) for every hole occurrence, preorder."""
-    out = []
+    return [(t.id, path) for path, t in subtrees(p) if isinstance(t, Hole)]
 
-    def walk(t, path):
-        if isinstance(t, Hole):
-            out.append((t.id, path))
-        elif isinstance(t, Apply):
-            walk(t.fn, path + (0,))
-            for i, a in enumerate(t.args):
-                walk(a, path + (i + 1,))
-        elif isinstance(t, Lam):
-            walk(t.body, path + (0,))
 
-    walk(p, ())
-    return out
+def pattern_holes(p) -> List[int]:
+    """Hole ids in first-occurrence (preorder) order."""
+    return list(dict.fromkeys(h for h, _path in hole_occurrences(p)))
+
+
+def _map_holes(p, f):
+    """`p` with every hole `h` replaced by `f(h)`.  Holes never sit under a
+    pattern lambda, so lambdas are kept whole."""
+    if isinstance(p, Hole):
+        return f(p)
+    if isinstance(p, Apply):
+        return Apply(_map_holes(p.fn, f),
+                     tuple(_map_holes(a, f) for a in p.args))
+    return p
 
 
 def canonicalize(p):
     """Renumber holes by first occurrence so equal patterns compare equal."""
-    order = pattern_holes(p)
-    remap = {h: i for i, h in enumerate(order)}
-
-    def walk(t):
-        if isinstance(t, Hole):
-            return Hole(remap[t.id])
-        if isinstance(t, Apply):
-            return Apply(walk(t.fn), tuple(walk(a) for a in t.args))
-        if isinstance(t, Lam):
-            return Lam(t.arity, walk(t.body))
-        return t
-
-    return walk(p)
+    remap = {h: i for i, h in enumerate(pattern_holes(p))}
+    return _map_holes(p, lambda h: Hole(remap[h.id]))
 
 
 def format_pattern(p) -> str:
@@ -324,9 +297,8 @@ def finalize(pattern, matches, lib: DSLibrary, annots, name: str,
         return Abstraction(name, 0, result_ty, pattern, pattern, rep,
                            tuple(sorted({m.task_id for m in used})), iteration)
     remap = {h: i for i, h in enumerate(order)}
-    body_core = _substitute_holes(pattern,
-                                  {h: BoundVar(arity - 1 - remap[h])
-                                   for h in order})
+    body_core = _map_holes(pattern,
+                           lambda h: BoundVar(arity - 1 - remap[h.id]))
     body = Lam(arity, body_core)
     sig = Arrow(tuple(param_tys[h] for h in order), result_ty)
     try:
@@ -335,19 +307,6 @@ def finalize(pattern, matches, lib: DSLibrary, annots, name: str,
         return Rejection("ill-typed", str(e))
     return Abstraction(name, arity, sig, body, pattern, rep,
                        tuple(sorted({m.task_id for m in used})), iteration)
-
-
-def _substitute_holes(pattern, mapping):
-    if isinstance(pattern, Hole):
-        return mapping[pattern.id]
-    if isinstance(pattern, Apply):
-        return Apply(_substitute_holes(pattern.fn, mapping),
-                     tuple(_substitute_holes(a, mapping)
-                           for a in pattern.args))
-    if isinstance(pattern, Lam):
-        # holes never occur under a pattern lambda
-        return pattern
-    return pattern
 
 
 def annotate_corpus(corpus, tasks, lib: DSLibrary):
@@ -399,15 +358,8 @@ def _binding_roots(matches, hole_id):
 
 
 def _replace_hole(pattern, hole_id, replacement):
-    if isinstance(pattern, Hole):
-        return replacement if pattern.id == hole_id else pattern
-    if isinstance(pattern, Apply):
-        return Apply(_replace_hole(pattern.fn, hole_id, replacement),
-                     tuple(_replace_hole(a, hole_id, replacement)
-                           for a in pattern.args))
-    if isinstance(pattern, Lam):
-        return pattern
-    return pattern
+    return _map_holes(pattern,
+                      lambda h: replacement if h.id == hole_id else h)
 
 
 def _expansions(pattern, matches, hole_id, next_hole):
@@ -476,7 +428,8 @@ def mine_round(corpus, lib: DSLibrary, tasks, name: str,
         used = deoverlap(matches)
         if not used:
             return 0
-        sizes = [term_size(_subtree_of(corpus, m)) for m in used]
+        sizes = [term_size(subterm_at(corpus[m.task_id][m.program_idx],
+                                      m.path)) for m in used]
         return len(used) * max(0, max(sizes) - 1)
 
     queue: list = []
@@ -516,18 +469,6 @@ def mine_round(corpus, lib: DSLibrary, tasks, name: str,
     return MineRound(best, visited, pruned, rejections)
 
 
-def _subtree_of(corpus, match: Match) -> Term:
-    t = corpus[match.task_id][match.program_idx]
-    for step in match.path:
-        if isinstance(t, Apply):
-            t = t.fn if step == 0 else t.args[step - 1]
-        elif isinstance(t, Lam):
-            t = t.body
-        else:
-            raise IndexError(match.path)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Rewriting
 # ---------------------------------------------------------------------------
@@ -544,7 +485,7 @@ def rewrite_program(program: Term, abstraction: Abstraction,
     saved = 0
     out = program
     for m in sorted(matches, key=lambda m: m.path, reverse=True):
-        site = _subtree_of({"_": [out]}, m)
+        site = subterm_at(out, m.path)
         if abstraction.arity == 0:
             rep = constant_literal if constant_literal is not None \
                 else abstraction.pattern
@@ -552,23 +493,8 @@ def rewrite_program(program: Term, abstraction: Abstraction,
             rep = Apply(PrimRef(abstraction.name),
                         tuple(m.binding(h) for h in order))
         saved += term_size(site) - term_size(rep)
-        out = _replace_at(out, m.path, rep)
+        out = replace_at(out, m.path, rep)
     return out, len(matches), saved
-
-
-def _replace_at(t: Term, path: tuple, rep: Term) -> Term:
-    if not path:
-        return rep
-    step = path[0]
-    if isinstance(t, Apply):
-        if step == 0:
-            return Apply(_replace_at(t.fn, path[1:], rep), t.args)
-        args = list(t.args)
-        args[step - 1] = _replace_at(args[step - 1], path[1:], rep)
-        return Apply(t.fn, tuple(args))
-    if isinstance(t, Lam):
-        return Lam(t.arity, _replace_at(t.body, path[1:], rep))
-    raise IndexError(path)
 
 
 def rewrite_corpus(corpus, abstraction: Abstraction,

@@ -121,50 +121,6 @@ def _probe_closure(clos, arrow: Arrow):
     return tuple(outcomes)
 
 
-def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
-                      free_vars: Tuple[str, ...] = (),
-                      ty: Optional[Ty] = None):
-    """Semantic signature of a term on the task's examples.
-
-    Concrete base-typed terms: the tuple of per-example outcomes.  Terms with
-    free placeholders, and arrow-typed terms, are fingerprinted by their
-    outputs on the canonical battery.
-    """
-    if free_vars:
-        var_info = [(n,) + placeholder_info(n) for n in free_vars]
-        per_example = []
-        for inputs, _ in task.examples:
-            rows = []
-            for row in range(BATTERY_ROWS):
-                bindings = dict(inputs)
-                for n, pos, pty in var_info:
-                    bindings[n] = _battery_value(pty, row, pos)
-                try:
-                    v = evaluate(term, bindings, limits, prims)
-                    rows.append(canon_value(v) if not is_function_value(v)
-                                else _probe_closure(v, ty)
-                                if isinstance(ty, Arrow) else ("opaque",))
-                except EvalError as e:
-                    rows.append(("e", e.kind))
-            per_example.append(tuple(rows))
-        return ("f", tuple(sorted(free_vars)), tuple(per_example))
-    per_example = []
-    for inputs, _ in task.examples:
-        try:
-            v = evaluate(term, dict(inputs), limits, prims)
-            if is_function_value(v):
-                if isinstance(ty, Arrow):
-                    per_example.append(_probe_closure(v, ty))
-                else:
-                    per_example.append(("opaque", format_term(term)))
-            else:
-                per_example.append(canon_value(v))
-        except EvalError as e:
-            per_example.append(("e", e.kind))
-    tag = "c" if isinstance(ty, Arrow) else "v"
-    return (tag, tuple(per_example))
-
-
 def _eval_once(term: Term, bindings, limits: EvalLimits, prims):
     """One evaluation outcome: ("ok", value), ("fn", value), or ("e", kind)."""
     try:
@@ -176,8 +132,8 @@ def _eval_once(term: Term, bindings, limits: EvalLimits, prims):
 
 def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
                   free_vars: Tuple[str, ...] = ()):
-    """Raw per-context outcomes of a base-typed term: one outcome per example,
-    or per example x battery row when the term has free placeholders."""
+    """Raw per-context outcomes of a term: one outcome per example, or per
+    example x battery row when the term has free placeholders."""
     if free_vars:
         var_info = [(n,) + placeholder_info(n) for n in free_vars]
         outs = []
@@ -195,13 +151,23 @@ def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
 
 
 def sig_from_outcomes(term: Term, outcomes,
-                      free_vars: Tuple[str, ...] = ()):
-    """The semantic signature a base-typed term gets from its raw outcomes."""
+                      free_vars: Tuple[str, ...] = (),
+                      ty: Optional[Ty] = None):
+    """The semantic signature a term of type `ty` gets from its raw outcomes
+    (see eval_outcomes).
+
+    Base values and errors stand for themselves.  A function value of an
+    arrow-typed term is fingerprinted by its outputs on the canonical
+    battery; any other function value is opaque.  Terms with free
+    placeholders are tagged "f", other arrow-typed terms "c", the rest
+    "v"."""
+    arrow = isinstance(ty, Arrow)
+
     def c(o, opaque):
         if o[0] == "ok":
             return canon_value(o[1])
         if o[0] == "fn":
-            return opaque
+            return _probe_closure(o[1], ty) if arrow else opaque
         return o
 
     if free_vars:
@@ -209,10 +175,19 @@ def sig_from_outcomes(term: Term, outcomes,
                 tuple(tuple(c(o, ("opaque",)) for o in row)
                       for row in outcomes))
     # the opaque fallback names the term; format it only if some outcome
-    # is a function value
+    # needs it
     opaque = ("opaque", format_term(term)) \
-        if any(o[0] == "fn" for o in outcomes) else None
-    return ("v", tuple(c(o, opaque) for o in outcomes))
+        if not arrow and any(o[0] == "fn" for o in outcomes) else None
+    return ("c" if arrow else "v", tuple(c(o, opaque) for o in outcomes))
+
+
+def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
+                      free_vars: Tuple[str, ...] = (),
+                      ty: Optional[Ty] = None):
+    """Semantic signature of a term on the task's examples."""
+    return sig_from_outcomes(
+        term, eval_outcomes(term, task, limits, prims, free_vars),
+        free_vars, ty)
 
 
 def signature_solves(sig, task: Task) -> bool:
@@ -328,6 +303,23 @@ class ValueStore:
             self._rankings = {}
         return self._scores
 
+    def cached_score(self, scorer, name: str, position: int,
+                     entry: ValueEntry, ctx: "ScoreContext",
+                     chosen=None) -> float:
+        """`scorer`'s score for `entry` at `position` of operation `name`,
+        through the score cache.  `chosen` is None for an entry scored as
+        not the last choice, which the scorer sees with an empty prefix;
+        otherwise it holds the (entry, type) pairs chosen so far, ending in
+        `entry`, and the prefix is built from it only on a miss."""
+        cache = self._scores if scorer is self._scorer \
+            else self.score_cache(scorer)
+        k = (name, position, entry.index, entry.weight, chosen is not None)
+        s = cache.get(k)
+        if s is None:
+            prefix = () if chosen is None else tuple(e for e, _ in chosen)
+            s = cache[k] = scorer.score(name, prefix, entry, ctx)
+        return s
+
     def ranking(self, scorer, name: str, position: int, cands,
                 ctx: "ScoreContext") -> "_Ranking":
         """`cands`, the candidates of operation `name` at `position`, as
@@ -335,17 +327,14 @@ class ValueStore:
         as not the last choice.  The ranking is kept between calls: entries
         new to `cands` are inserted, and entries `add` improved since are
         re-keyed, since their weight is part of the score key."""
-        cache = self.score_cache(scorer)
+        self.score_cache(scorer)
         r = self._rankings.get((name, position))
         if r is None or r.cands is not cands:
             r = self._rankings[(name, position)] = _Ranking(cands)
         order, keys = r.order, r.keys
 
         def insert(e):
-            k = (name, position, e.index, e.weight, False)
-            s = cache.get(k)
-            if s is None:
-                s = cache[k] = scorer.score(name, (), e, ctx)
+            s = self.cached_score(scorer, name, position, e, ctx)
             keys[e.index] = item = (-s, e.weight, e.index, e)
             insort(order, item)
 
@@ -386,6 +375,23 @@ def arg_term(entry: ValueEntry, pty: Ty) -> Term:
     return entry.term
 
 
+def arg_free_vars(tup) -> set:
+    """Free placeholders of an argument tuple of (entry, parameter type)
+    pairs.  A lifted lambda binds its body's placeholders, so only
+    non-arrow arguments contribute."""
+    free = set()
+    for e, pty in tup:
+        if not isinstance(pty, Arrow):
+            free.update(e.free_vars)
+    return free
+
+
+def admissible(tup, allowed_sets) -> bool:
+    """Whether the tuple's free placeholders all fit one allowed set."""
+    free = arg_free_vars(tup)
+    return not free or any(free <= s for s in allowed_sets)
+
+
 def _arg_kind(entry: ValueEntry, pty: Ty) -> str:
     if isinstance(pty, Arrow) and entry.ty != pty:
         return "lift"
@@ -400,18 +406,20 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
     for name, ty in task.input_types:
         t = InputVar(name)
         outs = eval_outcomes(t, task, limits, prims)
-        store.add(ValueEntry(t, term_size(t), ty, sig_from_outcomes(t, outs),
-                             outcomes=outs))
+        store.add(ValueEntry(t, term_size(t), ty,
+                             sig_from_outcomes(t, outs, (), ty), outcomes=outs))
     for literal, ty in lib.constants:
         outs = eval_outcomes(literal, task, limits, prims)
         store.add(ValueEntry(literal, term_size(literal), ty,
-                             sig_from_outcomes(literal, outs), outcomes=outs))
+                             sig_from_outcomes(literal, outs, (), ty),
+                             outcomes=outs))
     names, _allowed = lib_placeholders(lib)
     for name in sorted(names):
         ty = names[name]
         t = InputVar(name)
         outs = eval_outcomes(t, task, limits, prims, free_vars=(name,))
-        store.add(ValueEntry(t, 0, ty, sig_from_outcomes(t, outs, (name,)),
+        store.add(ValueEntry(t, 0, ty,
+                             sig_from_outcomes(t, outs, (name,), ty),
                              free_vars=(name,), outcomes=outs))
     return store
 
@@ -428,8 +436,7 @@ class ScoreContext:
     output_sig: tuple
 
 
-def make_context(task: Task, store: ValueStore, op: Operation,
-                 position: int) -> ScoreContext:
+def make_context(task: Task, op: Operation, position: int) -> ScoreContext:
     return ScoreContext(task, op.name, position,
                         tuple(canon_value(o) for o in task.outputs))
 
@@ -442,7 +449,7 @@ class UniformScorer:
     signature, type, free placeholders and weight) and the task, and it
     sees the chosen `prefix` only as "is `prefix[-1]` this candidate?".
     Argument selection relies on this to score each pair once per store
-    (ValueStore.score_cache)."""
+    (ValueStore.cached_score)."""
 
     per_op_parameters: dict = {}
 
@@ -470,24 +477,13 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
         cands = store.candidates_for(pty, allowed_sets)
         if not cands:
             return []
-        per_position.append((pty, cands, make_context(task, store, op, j)))
+        per_position.append((pty, cands, make_context(task, op, j)))
     if beam_size is None:
         beams = itertools.product(*[[(e, pty) for e in cands]
                                     for pty, cands, _ctx in per_position])
     else:
         beams = _beam(op.name, per_position, store, scorer, beam_size)
-    out = []
-    for entries in beams:
-        free = set()
-        ok = True
-        for e, pty in entries:
-            if not isinstance(pty, Arrow):
-                free |= set(e.free_vars)
-        if free and not any(free <= s for s in allowed_sets):
-            ok = False
-        if ok:
-            out.append(entries)
-    return out
+    return [entries for entries in beams if admissible(entries, allowed_sets)]
 
 
 def _beam(name, per_position, store, scorer, beam_size):
@@ -499,7 +495,6 @@ def _beam(name, per_position, store, scorer, beam_size):
     the extensions that can be among a beam's best `beam_size` (see
     _contenders), plus its own last choice scored as such, enter the heap,
     so the survivors are the same as from scoring every extension."""
-    cache = store.score_cache(scorer)
     beams = [((), 0.0, 0, ())]  # (entries, score, weight, index-key)
     for j, (pty, cands, ctx) in enumerate(per_position):
         ranking = store.ranking(scorer, name, j, cands, ctx)
@@ -513,11 +508,7 @@ def _beam(name, per_position, store, scorer, beam_size):
                                                       score, beam_size):
                 scored.append((-total, wsum + w, key, i, b, e))
             if last is not None and last.index in ranking.keys:
-                k = (name, j, last.index, last.weight, True)
-                s = cache.get(k)
-                if s is None:
-                    prefix = tuple(e for e, _ in entries)
-                    s = cache[k] = scorer.score(name, prefix, last, ctx)
+                s = store.cached_score(scorer, name, j, last, ctx, entries)
                 scored.append((-(score + s), wsum + last.weight, key,
                                last.index, b, last))
         beams = [(beams[b][0] + ((e, pty),), -neg, w, key + (i,))
@@ -596,20 +587,18 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
     re-evaluating the whole term; arrow-typed results fall back to full
     evaluation with battery probing."""
     terms = []
-    free = set()
     weight = 1
     kinds = []
     for e, pty in arg_entries:
         terms.append(arg_term(e, pty))
         kinds.append((e.index, _arg_kind(e, pty)))
         weight += e.weight
-        if not isinstance(pty, Arrow):
-            free |= set(e.free_vars)
     term = Apply(PrimRef(op.name), tuple(terms))
     ret = op.signature.ret
-    fv = tuple(sorted(free))
+    fv = tuple(sorted(arg_free_vars(arg_entries)))
     if isinstance(ret, Arrow):
-        sig = compute_signature(term, task, limits, prims, free_vars=fv, ty=ret)
+        # no cached outcomes: they would keep closures in the store
+        sig = compute_signature(term, task, limits, prims, fv, ret)
         return ValueEntry(term, weight, ret, sig, free_vars=fv,
                           provenance=(op.name, tuple(kinds)))
     plan = []  # per argument: how to produce its value in each context
@@ -664,7 +653,7 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
         outcomes = tuple(outs)
     else:
         outcomes = eval_outcomes(term, task, limits, prims, fv)
-    sig = sig_from_outcomes(term, outcomes, fv)
+    sig = sig_from_outcomes(term, outcomes, fv, ret)
     return ValueEntry(term, weight, ret, sig, free_vars=fv,
                       provenance=(op.name, tuple(kinds)), outcomes=outcomes)
 
@@ -728,11 +717,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                             time.monotonic() - start > timeout:
                         return ExhaustiveResult(store, solution, candidates,
                                                 timed_out=True)
-                    free = set()
-                    for e, pty in tup:
-                        if not isinstance(pty, Arrow):
-                            free |= set(e.free_vars)
-                    if free and not any(free <= s for s in allowed):
+                    if not admissible(tup, allowed):
                         continue
                     entry = build_entry(op, tup, task, limits, prims)
                     candidates += 1
@@ -829,11 +814,13 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     def out_of_time():
         return clock.now() >= cfg.per_task_timeout
 
+    def restart_due():
+        return cfg.restarts_enabled and \
+            clock.now() - last_restart >= cfg.restart_interval
+
     def maybe_restart():
         nonlocal store, executed, samplers, restarts, last_restart, rng
-        if not cfg.restarts_enabled:
-            return False
-        if clock.now() - last_restart >= cfg.restart_interval and not out_of_time():
+        if restart_due() and not out_of_time():
             restarts += 1
             last_restart = clock.now()
             rng = random.Random(cfg.random_seed + restarts)
@@ -872,7 +859,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         if maybe_restart():
             continue
         progress = False
-        attempted = False
         for op in lib.operations:
             if cfg.beam_size is None:
                 tuples = _fresh_product(
@@ -887,28 +873,19 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             for tup in tuples:
                 if tuple_key(tup) in executed[op.name]:
                     continue
-                attempted = True
                 is_new, improved = execute(op, tup)
                 progress = progress or is_new or improved
                 if solution is not None and cfg.stop_on_solve:
                     return SolveResult(True, solution.term, clock.now(),
                                        candidates, restarts, store)
-                if out_of_time():
-                    break
-                if cfg.restarts_enabled and \
-                        clock.now() - last_restart >= cfg.restart_interval:
+                if out_of_time() or restart_due():
                     break
             else:
                 continue
             break
-        if solution is not None and cfg.stop_on_solve:
-            break
         if out_of_time():
             break
-        if cfg.restarts_enabled and \
-                clock.now() - last_restart >= cfg.restart_interval:
-            continue
-        if progress:
+        if restart_due() or progress:
             continue
         if cfg.beam_size is None:
             # the unbounded beam already covers the full cross product, so a
@@ -924,17 +901,12 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                     continue
                 state = UniqueSampler(dists)
                 samplers[op.name] = state
-            budget = cfg.beam_size if cfg.beam_size is not None else 64
-            for _ in range(budget):
+            for _ in range(cfg.beam_size):
                 tup = state.sample(rng)
                 if tup is None:
                     break
                 tup = tuple(tup)
-                free = set()
-                for e, pty in tup:
-                    if not isinstance(pty, Arrow):
-                        free |= set(e.free_vars)
-                if free and not any(free <= s for s in allowed):
+                if not admissible(tup, allowed):
                     clock.tick()
                     continue
                 sampled_any = True
@@ -950,7 +922,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         if progress:
             samplers.clear()  # store changed; supports are stale
             continue
-        if not progress and not sampled_any:
+        if not sampled_any:
             # no beam progress and sampling supports are spent: the space
             # under max_weight is exhausted (restarts, if any, ran above)
             break
@@ -978,15 +950,8 @@ def _fresh_product(op: Operation, store: ValueStore, allowed, seen: int,
 
     def rec(j, acc, wsum, fresh):
         if j == k:
-            if not fresh:
-                return
-            free = set()
-            for e, pty in acc:
-                if not isinstance(pty, Arrow):
-                    free |= set(e.free_vars)
-            if free and not any(free <= s for s in allowed):
-                return
-            yield tuple(acc)
+            if fresh and admissible(acc, allowed):
+                yield tuple(acc)
             return
         for e, pty in lists[j]:
             if wsum + e.weight > budget:
@@ -1004,21 +969,14 @@ def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task,
     """Per position, a softmax over the scores of its candidates with an
     empty prefix, read through the store's score cache (see
     beam_select_args)."""
-    cache = store.score_cache(scorer)
-    name = op.name
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty, allowed)
         if not cands:
             return None
-        ctx = make_context(task, store, op, j)
-        scores = []
-        for e in cands:
-            k = (name, j, e.index, e.weight, False)
-            s = cache.get(k)
-            if s is None:
-                s = cache[k] = scorer.score(name, (), e, ctx)
-            scores.append(s)
+        ctx = make_context(task, op, j)
+        scores = [store.cached_score(scorer, op.name, j, e, ctx)
+                  for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
         total = sum(weights)

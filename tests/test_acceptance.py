@@ -390,7 +390,7 @@ RIGGED_CFG = RunConfig(
                             max_weight=4, episodes=4, targets_per_episode=12,
                             random_seed=0),
     mining=MineConfig(),
-    trials=1, folds=1, workers=1, random_seed=0, train_steps=2000)
+    trials=1, workers=1, random_seed=0, train_steps=2000)
 
 
 @pytest.fixture(scope="module")
@@ -575,7 +575,7 @@ DET_CFG = RunConfig(
                             max_weight=3, episodes=3, targets_per_episode=4,
                             random_seed=0),
     mining=MineConfig(),
-    trials=2, folds=1, workers=1, random_seed=0, train_steps=500)
+    trials=2, workers=1, random_seed=0, train_steps=500)
 
 DET_TASKS = [t for t in MICRO_TASKS
              if t.name in ("motif_00", "motif_01", "motif_02",

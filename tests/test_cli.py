@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from pbesynth.cli import ConfigError, build_run_config, main, read_config_file
+from pbesynth.harness import RunConfig
 from pbesynth.dsl import DSLibrary, default_list_dsl, save_library
 
 TASKS_TEXT = """\
@@ -32,7 +33,7 @@ FAST_FLAGS = ["--per-task-timeout", "5", "--restart-interval", "5",
               "--restarts-enabled", "false", "--episode-timeout", "10",
               "--per-abstraction-bonus", "0", "--episodes", "3",
               "--targets-per-episode", "3", "--tracegen-max-weight", "3",
-              "--train-steps", "300", "--trials", "1", "--folds", "1"]
+              "--train-steps", "300", "--trials", "1"]
 
 
 @pytest.fixture
@@ -85,6 +86,16 @@ def test_read_config_file_rejects_bad_value(tmp_path):
     p.write_text("iterations = soon\n")
     with pytest.raises(ConfigError):
         read_config_file(str(p))
+
+
+def test_build_run_config_keeps_dataclass_defaults():
+    assert build_run_config({}) == RunConfig()
+    cfg = build_run_config({"max_weight": 6, "tracegen_max_weight": 4,
+                            "random_seed": 3, "max_visited": None})
+    assert (cfg.search.max_weight, cfg.tracegen.max_weight) == (6, 4)
+    assert cfg.random_seed == cfg.search.random_seed == \
+        cfg.tracegen.random_seed == 3
+    assert cfg.mining == RunConfig().mining
 
 
 def test_build_run_config_defaults_and_overrides():

@@ -30,7 +30,7 @@ def sub_dsl(*names):
 def _ctx_and_entries():
     lib = sub_dsl("Add", "Map")
     store = init_store(TASK, lib, LIMITS)
-    ctx = make_context(TASK, store, lib.op("Add"), 0)
+    ctx = make_context(TASK, lib.op("Add"), 0)
     return ctx, store.entries
 
 

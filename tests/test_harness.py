@@ -9,7 +9,7 @@ from pbesynth.dsl import DSLibrary, default_list_dsl
 from pbesynth.guidance import TraceGenConfig
 from pbesynth.harness import (
     EvalReport, RunConfig, compare_evals, emit_plot_data, evaluate,
-    load_solutions, make_folds, run_sleep, run_wake, save_solutions,
+    load_solutions, run_sleep, run_wake, save_solutions,
     verify_solution, wake_sleep_loop,
 )
 from pbesynth.lang import INT_LIST, format_term, parse_term
@@ -57,32 +57,14 @@ HARD = Task("hard", (("xs", INT_LIST),),
 
 
 # ---------------------------------------------------------------------------
-# Folds and config validation
+# Config validation
 # ---------------------------------------------------------------------------
-
-def test_make_folds_is_deterministic_and_balanced():
-    f1 = make_folds(TASKS, seed=3)
-    f2 = make_folds(TASKS, seed=3)
-    assert [[t.name for t in f] for f in f1] == \
-        [[t.name for t in f] for f in f2]
-    assert len(f1) == 2
-    assert sorted(t.name for f in f1 for t in f) == \
-        sorted(t.name for t in TASKS)
-    assert abs(len(f1[0]) - len(f1[1])) <= 1
-
-
-def test_make_folds_single_fold():
-    folds = make_folds(TASKS, seed=0, folds=1)
-    assert len(folds) == 1 and len(folds[0]) == len(TASKS)
-
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(iterations=0)
     with pytest.raises(ValueError):
         RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(folds=3)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +150,7 @@ def test_run_sleep_with_nothing_to_mine_keeps_library():
 # ---------------------------------------------------------------------------
 
 LOOP_CFG = RunConfig(iterations=2, search=FAST_SEARCH, tracegen=FAST_TRACES,
-                     mining=MineConfig(), trials=1, folds=1, workers=1,
+                     mining=MineConfig(), trials=1, workers=1,
                      random_seed=0, train_steps=300)
 
 
@@ -197,7 +179,7 @@ def test_wake_sleep_loop_resumes_completed_iterations(tmp_path):
     out = str(tmp_path / "run")
     first = wake_sleep_loop(TASKS, SMALL_LIB, out,
                             RunConfig(iterations=1, search=FAST_SEARCH,
-                                      tracegen=FAST_TRACES, trials=1, folds=1,
+                                      tracegen=FAST_TRACES, trials=1,
                                       train_steps=300))
     marker = os.path.join(out, "iter_000", "report.json")
     before = os.path.getmtime(marker)

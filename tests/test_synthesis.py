@@ -9,16 +9,18 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import pbesynth
-from pbesynth.dsl import DSLibrary, default_list_dsl
+from pbesynth.dsl import DSLibrary, Operation, default_list_dsl
 from pbesynth.guidance import (
     FEATURE_DIM, LinearScorer, TraceGenConfig, generate_traces, train_scorer,
 )
 from pbesynth.lang import (
-    INT, INT_LIST, Arrow, EvalLimits, format_term, parse_term, term_size,
+    INT, INT_LIST, Arrow, ConstInt, EvalError, EvalLimits, format_term,
+    parse_term, term_size,
 )
 from pbesynth.synthesis import (
     SearchConfig, UniformScorer, ValueEntry, ValueStore, _sampler_dists,
-    arrow_placeholder_names, beam_select_args, build_entry, compute_signature, eval_outcomes,
+    admissible, arrow_placeholder_names, beam_select_args, build_entry,
+    compute_signature, eval_outcomes,
     exhaustive_search, init_store, lib_placeholders, make_context, search,
     sig_from_outcomes, signature_solves,
 )
@@ -98,6 +100,76 @@ def test_signature_solves():
     other = compute_signature(parse_term("(Reverse xs)", NAMES),
                               TASK, LIMITS, PRIMS, ty=INT_LIST)
     assert not signature_solves(other, TASK)
+
+
+def _at(xs):
+    def at(i):
+        if not 0 <= i < len(xs):
+            raise EvalError("domain", "index out of range")
+        return xs[i]
+    return at
+
+
+# Operations returning functions, as in the toy DSL's Loop; the arrow types
+# they return take base parameters (At, Adder) or an arrow one (Loop).
+_F_I_IL = Arrow((INT,), INT_LIST)
+ARROW_LIB = DSLibrary([
+    Operation("Len", Arrow((INT_LIST,), INT), len),
+    Operation("Call", Arrow((_F_I_IL, INT), INT_LIST), lambda f, x: f(x)),
+    Operation("Loop", Arrow((INT_LIST, INT, INT), Arrow((_F_I_IL,), INT_LIST)),
+              lambda xs, lo, hi: lambda f: [y for i in range(lo, hi)
+                                            for y in f(xs[i])]),
+    Operation("At", Arrow((INT_LIST,), Arrow((INT,), INT)), _at),
+    Operation("Adder", Arrow((INT,), Arrow((INT,), INT)),
+              lambda n: lambda x: x + n),
+], [(ConstInt(0), INT), (ConstInt(1), INT)])
+
+
+def test_arrow_returning_op_signatures_are_pinned():
+    """build_entry signatures of arrow-typed results, recorded before
+    compute_signature was folded into sig_from_outcomes."""
+    task = Task("t", (("xs", INT_LIST),),
+                (({"xs": [1, 2, 3]}, [1]), ({"xs": [4]}, [4])))
+    prims = ARROW_LIB.prims()
+    store = init_store(task, ARROW_LIB, LIMITS)
+    xs, zero, one, ph = store.entries
+    assert ph.free_vars == ("%0i",)
+
+    def build(name, *args):
+        op = ARROW_LIB.op(name)
+        e = build_entry(op, tuple(zip(args, op.signature.params)), task,
+                        LIMITS, prims)
+        assert e.outcomes is None or e.ty == INT
+        return e
+
+    loop = build("Loop", xs, zero, build("Len", xs))
+    assert format_term(loop.term) == "(Loop xs 0 (Len xs))"
+    assert loop.outcomes is None
+    opaque = ("opaque-arrow",)
+    assert loop.signature == ("c", (opaque, opaque))
+    assert build("Loop", xs, zero, ph).signature == \
+        ("f", ("%0i",), ((opaque,) * 8, (opaque,) * 8))
+
+    dom = ("e", "domain")
+    assert build("At", xs).signature == (
+        "c", ((("i", 1), ("i", 2), ("i", 3)) + (dom,) * 5,
+              (("i", 4),) + (dom,) * 7))
+    battery = (0, 1, 2, -1, 3, 5, -2, 4)
+    plus = [tuple(("i", b + n) for b in battery) for n in battery]
+    assert build("Adder", one).signature == ("c", (plus[1], plus[1]))
+    assert build("Adder", ph).signature == \
+        ("f", ("%0i",), (tuple(plus), tuple(plus)))
+
+
+def test_admissible_requires_one_allowed_set():
+    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, (n,), free_vars=(n,))
+            for n in ("%0i", "%1i"))
+    allowed = [frozenset({"%0i"}), frozenset({"%1i"})]
+    assert admissible(((a, INT), (a, INT)), allowed)
+    assert not admissible(((a, INT), (b, INT)), allowed)
+    assert admissible(((a, INT), (b, INT)), [frozenset({"%0i", "%1i"})])
+    # a lifted lambda binds its body's placeholders
+    assert admissible(((a, INT), (b, Arrow((INT,), INT))), allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +375,7 @@ def reference_beam_select_args(op, store, scorer, beam_size, task,
         cands = store.candidates_for(pty, allowed_sets)
         if not cands:
             return []
-        per_position.append((pty, cands, make_context(task, store, op, j)))
+        per_position.append((pty, cands, make_context(task, op, j)))
     beams = [((), 0.0, 0, ())]
     for pty, cands, ctx in per_position:
         nxt = []
@@ -332,7 +404,7 @@ def reference_sampler_dists(op, store, scorer, task, allowed):
         cands = store.candidates_for(pty, allowed)
         if not cands:
             return None
-        ctx = make_context(task, store, op, j)
+        ctx = make_context(task, op, j)
         scores = [scorer.score(op.name, (), e, ctx) for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
