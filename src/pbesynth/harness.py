@@ -85,17 +85,16 @@ def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
 
 def verify_solution(task, program, lib: DSLibrary,
                     limits=None) -> bool:
-    from .lang import EvalError, EvalLimits, evaluate
-    from .synthesis import canon_value
+    from .lang import EvalError, EvalLimits, canon_value, evaluate
 
     limits = limits or EvalLimits()
     prims = lib.prims()
-    for inputs, output in task.examples:
+    for (inputs, _output), want in zip(task.examples, task.output_sig):
         try:
             got = evaluate(program, dict(inputs), limits, prims)
         except EvalError:
             return False
-        if canon_value(got) != canon_value(output):
+        if canon_value(got) != want:
             return False
     return True
 

@@ -624,6 +624,20 @@ def check_value(v: Value, lim: EvalLimits) -> Value:
     raise EvalError("domain", f"bad runtime value {v!r}")
 
 
+def canon_value(v: Value) -> tuple:
+    """A checked runtime value in the form outcomes and signatures keep:
+    ("i", int), ("b", bool), ("l", tuple of ints), or ("fn", v) for a
+    function value, which is kept as it is."""
+    t = type(v)
+    if t is int:
+        return ("i", v)
+    if t is list:
+        return ("l", tuple(v))
+    if t is bool:
+        return ("b", v)
+    return ("fn", v)
+
+
 def _call_prim(fn, args):
     """Apply a primitive's Python function, turning its Python errors into
     domain errors."""
@@ -635,7 +649,11 @@ def _call_prim(fn, args):
         raise EvalError("domain", str(e)) from None
 
 
-class _Evaluator:
+class Evaluator:
+    """Evaluates terms over fixed inputs on one step budget: `steps` counts
+    every step taken so far, by its evaluations and by calls of the Closures
+    it made."""
+
     def __init__(self, prims: Mapping[str, Callable], inputs: Mapping[str, Value],
                  limits: EvalLimits):
         self.prims = prims
@@ -693,19 +711,30 @@ class _Evaluator:
 
 
 def evaluate(t: Term, inputs: Mapping[str, Value], limits: EvalLimits,
-             prims: Mapping[str, Callable]) -> Value:
+             prims: Mapping[str, Callable], ev: Optional[Evaluator] = None
+             ) -> Value:
     """Call-by-value evaluation.  Raises EvalError on step/bound/domain
-    failures; never crashes on well-formed terms."""
-    ev = _Evaluator(prims, inputs, limits)
+    failures; never crashes on well-formed terms.  `ev`, a fresh
+    Evaluator(prims, inputs, limits), runs the evaluation when given, so
+    the caller can read the steps it took from `ev.steps`."""
+    if ev is None:
+        ev = Evaluator(prims, inputs, limits)
     return check_value(ev.eval(t, []), limits)
 
 
 def invoke_prim(fn: Callable, args, limits: EvalLimits,
-                prims: Mapping[str, Callable]) -> Value:
-    """Apply one primitive to already-evaluated argument values, with the
-    same error conversion and result checking as the evaluator.  Only a
-    learned operation needs an evaluator (and a step budget) of its own."""
-    if type(fn) is LearnedOp:
-        return check_value(_Evaluator(prims, {}, limits)._invoke(fn, args),
-                           limits)
-    return check_value(_call_prim(fn, args), limits)
+                prims: Mapping[str, Callable],
+                ev: Optional[Evaluator] = None) -> Value:
+    """Apply one operation to already-evaluated argument values, with the
+    same error conversion and result checking as the evaluator.
+
+    With `ev` the call runs in that evaluator, as an Apply node applies its
+    operation once its arguments are evaluated: a learned operation's body
+    and the Closures `ev` made tick `ev.steps`, under its budget.  Without
+    it, only a learned operation needs an evaluator (and a step budget) of
+    its own; a primitive takes no steps."""
+    if ev is None:
+        if type(fn) is not LearnedOp:
+            return check_value(_call_prim(fn, args), limits)
+        ev = Evaluator(prims, {}, limits)
+    return check_value(ev._invoke(fn, args), limits)

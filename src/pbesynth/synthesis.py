@@ -13,18 +13,19 @@ body.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .lang import (
-    INT, BOOL, INT_LIST, Arrow, Ty, Term, Apply, InputVar, PrimRef,
-    EvalError, EvalLimits, bind_input_vars, evaluate, format_term,
-    invoke_prim, is_function_value, term_size,
+    INT, BOOL, INT_LIST, Arrow, Ty, Term, Apply, InputVar, PrimRef, Closure,
+    EvalError, EvalLimits, Evaluator, LearnedOp, bind_input_vars,
+    canon_value, evaluate, format_term, invoke_prim, term_size,
 )
 from .dsl import DSLibrary, Operation
 from .sampling import UniqueSampler
@@ -93,47 +94,51 @@ def arrow_placeholder_names(arrow: Arrow) -> Optional[list]:
 
 
 # ---------------------------------------------------------------------------
-# Signatures
+# Outcomes and signatures
 # ---------------------------------------------------------------------------
+#
+# An outcome is what a term gives in one evaluation context: its value in
+# lang.canon_value's form (("i", v), ("b", v), ("l", tuple), or ("fn", v)
+# for a function value), or ("e", kind) for an EvalError.  A signature holds
+# the outcomes as they are and replaces only function values.
 
-def canon_value(v):
-    if isinstance(v, bool):
-        return ("b", v)
-    if isinstance(v, int):
-        return ("i", v)
-    if isinstance(v, list):
-        return ("l", tuple(v))
-    return ("opaque",)
+_tag = itemgetter(0)
 
 
-def _probe_closure(clos, arrow: Arrow):
+def _probe_closure(clos, arrow: Arrow, term: Term):
     outcomes = []
     for row in range(BATTERY_ROWS):
         try:
             args = [_battery_value(q, row, j) for j, q in enumerate(arrow.params)]
         except ValueError:
-            return ("opaque-arrow",)
+            # no battery for an arrow parameter: opaque, named by the term
+            return ("opaque-arrow", format_term(term))
         try:
-            v = clos(*args)
-            outcomes.append(canon_value(v))
+            o = canon_value(clos(*args))
+            outcomes.append(("opaque",) if o[0] == "fn" else o)
         except EvalError as e:
             outcomes.append(("e", e.kind))
     return tuple(outcomes)
 
 
-def _eval_once(term: Term, bindings, limits: EvalLimits, prims):
-    """One evaluation outcome: ("ok", value), ("fn", value), or ("e", kind)."""
-    try:
-        v = evaluate(term, bindings, limits, prims)
-        return ("fn", v) if is_function_value(v) else ("ok", v)
-    except EvalError as e:
-        return ("e", e.kind)
+def _evaluated(term: Term, task: Task, limits: EvalLimits, prims,
+               free_vars: Tuple[str, ...] = ()):
+    """(eval_outcomes(...), steps): the outcomes, and the most steps an
+    evaluation that did not run out of steps took (see ValueEntry.steps)."""
+    most = 0
 
+    def once(bindings):
+        nonlocal most
+        ev = Evaluator(prims, bindings, limits)
+        try:
+            o = canon_value(evaluate(term, bindings, limits, prims, ev))
+        except EvalError as e:
+            if e.kind == "steps":
+                return ("e", "steps")
+            o = ("e", e.kind)
+        most = max(most, ev.steps)
+        return o
 
-def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
-                  free_vars: Tuple[str, ...] = ()):
-    """Raw per-context outcomes of a term: one outcome per example, or per
-    example x battery row when the term has free placeholders."""
     if free_vars:
         var_info = [(n,) + placeholder_info(n) for n in free_vars]
         outs = []
@@ -143,42 +148,48 @@ def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
                 bindings = dict(inputs)
                 for n, pos, pty in var_info:
                     bindings[n] = _battery_value(pty, row, pos)
-                rows.append(_eval_once(term, bindings, limits, prims))
+                rows.append(once(bindings))
             outs.append(tuple(rows))
-        return tuple(outs)
-    return tuple(_eval_once(term, dict(inputs), limits, prims)
-                 for inputs, _ in task.examples)
+        return tuple(outs), most
+    return tuple(once(dict(inputs)) for inputs, _ in task.examples), most
+
+
+def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
+                  free_vars: Tuple[str, ...] = ()):
+    """Per-context outcomes of a term: one outcome per example, or per
+    example x battery row when the term has free placeholders."""
+    return _evaluated(term, task, limits, prims, free_vars)[0]
 
 
 def sig_from_outcomes(term: Term, outcomes,
                       free_vars: Tuple[str, ...] = (),
                       ty: Optional[Ty] = None):
-    """The semantic signature a term of type `ty` gets from its raw outcomes
+    """The semantic signature a term of type `ty` gets from its outcomes
     (see eval_outcomes).
 
-    Base values and errors stand for themselves.  A function value of an
-    arrow-typed term is fingerprinted by its outputs on the canonical
+    Values and errors stand for themselves, so unless an outcome is a
+    function value the signature holds `outcomes` itself.  A function value
+    of an arrow-typed term is fingerprinted by its outputs on the canonical
     battery; any other function value is opaque.  Terms with free
     placeholders are tagged "f", other arrow-typed terms "c", the rest
     "v"."""
     arrow = isinstance(ty, Arrow)
 
     def c(o, opaque):
-        if o[0] == "ok":
-            return canon_value(o[1])
-        if o[0] == "fn":
-            return _probe_closure(o[1], ty) if arrow else opaque
-        return o
+        if o[0] != "fn":
+            return o
+        return _probe_closure(o[1], ty, term) if arrow else opaque
 
     if free_vars:
-        return ("f", tuple(sorted(free_vars)),
-                tuple(tuple(c(o, ("opaque",)) for o in row)
-                      for row in outcomes))
-    # the opaque fallback names the term; format it only if some outcome
-    # needs it
-    opaque = ("opaque", format_term(term)) \
-        if not arrow and any(o[0] == "fn" for o in outcomes) else None
-    return ("c" if arrow else "v", tuple(c(o, opaque) for o in outcomes))
+        if "fn" in map(_tag, chain.from_iterable(outcomes)):
+            outcomes = tuple(tuple(c(o, ("opaque",)) for o in row)
+                             for row in outcomes)
+        return ("f", tuple(sorted(free_vars)), outcomes)
+    if "fn" in map(_tag, outcomes):
+        # the opaque fallback names the term
+        opaque = None if arrow else ("opaque", format_term(term))
+        outcomes = tuple(c(o, opaque) for o in outcomes)
+    return ("c" if arrow else "v", outcomes)
 
 
 def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
@@ -191,9 +202,7 @@ def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
 
 
 def signature_solves(sig, task: Task) -> bool:
-    if not sig or sig[0] != "v":
-        return False
-    return sig[1] == tuple(canon_value(o) for o in task.outputs)
+    return bool(sig) and sig[0] == "v" and sig[1] == task.output_sig
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +218,10 @@ class ValueEntry:
     free_vars: Tuple[str, ...] = ()
     index: int = -1
     provenance: Optional[tuple] = None  # (op_name, ((entry_idx, kind), ...))
-    outcomes: Optional[tuple] = None  # raw per-context values, see eval_outcomes
+    outcomes: Optional[tuple] = None  # per-context outcomes, see eval_outcomes
+    # at least the steps `term` takes in any context whose evaluation does
+    # not run out of steps; None if unknown
+    steps: Optional[int] = None
 
     @property
     def is_lambda(self) -> bool:
@@ -254,6 +266,7 @@ class ValueStore:
             old.term = entry.term
             old.weight = entry.weight
             old.provenance = entry.provenance
+            old.steps = entry.steps
             self.improved.append(old.index)
             return old, False, True
         return old, False, False
@@ -403,24 +416,21 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
     placeholders the library's arrow parameters call for."""
     prims = lib.prims()
     store = ValueStore()
+
+    def seed(t, weight, ty, free_vars=()):
+        outs, steps = _evaluated(t, task, limits, prims, free_vars)
+        store.add(ValueEntry(t, weight, ty,
+                             sig_from_outcomes(t, outs, free_vars, ty),
+                             free_vars=free_vars, outcomes=outs, steps=steps))
+
     for name, ty in task.input_types:
         t = InputVar(name)
-        outs = eval_outcomes(t, task, limits, prims)
-        store.add(ValueEntry(t, term_size(t), ty,
-                             sig_from_outcomes(t, outs, (), ty), outcomes=outs))
+        seed(t, term_size(t), ty)
     for literal, ty in lib.constants:
-        outs = eval_outcomes(literal, task, limits, prims)
-        store.add(ValueEntry(literal, term_size(literal), ty,
-                             sig_from_outcomes(literal, outs, (), ty),
-                             outcomes=outs))
+        seed(literal, term_size(literal), ty)
     names, _allowed = lib_placeholders(lib)
     for name in sorted(names):
-        ty = names[name]
-        t = InputVar(name)
-        outs = eval_outcomes(t, task, limits, prims, free_vars=(name,))
-        store.add(ValueEntry(t, 0, ty,
-                             sig_from_outcomes(t, outs, (name,), ty),
-                             free_vars=(name,), outcomes=outs))
+        seed(InputVar(name), 0, names[name], (name,))
     return store
 
 
@@ -437,8 +447,7 @@ class ScoreContext:
 
 
 def make_context(task: Task, op: Operation, position: int) -> ScoreContext:
-    return ScoreContext(task, op.name, position,
-                        tuple(canon_value(o) for o in task.outputs))
+    return ScoreContext(task, op.name, position, task.output_sig)
 
 
 class UniformScorer:
@@ -479,8 +488,8 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
             return []
         per_position.append((pty, cands, make_context(task, op, j)))
     if beam_size is None:
-        beams = itertools.product(*[[(e, pty) for e in cands]
-                                    for pty, cands, _ctx in per_position])
+        beams = product(*[[(e, pty) for e in cands]
+                          for pty, cands, _ctx in per_position])
     else:
         beams = _beam(op.name, per_position, store, scorer, beam_size)
     return [entries for entries in beams if admissible(entries, allowed_sets)]
@@ -557,35 +566,21 @@ def _contenders(order, last, score, beam_size):
 # Executing one candidate tuple
 # ---------------------------------------------------------------------------
 
-class _LiftedClosure:
-    """A lambda value built from a stored body with free placeholders."""
-
-    __slots__ = ("body", "names", "inputs", "limits", "prims")
-
-    def __init__(self, body, names, inputs, limits, prims):
-        self.body = body
-        self.names = names
-        self.inputs = inputs
-        self.limits = limits
-        self.prims = prims
-
-    def __call__(self, *args):
-        if len(args) != len(self.names):
-            raise EvalError("domain",
-                            f"closure expects {len(self.names)} args")
-        bindings = dict(self.inputs)
-        for n, v in zip(self.names, args):
-            bindings[n] = v
-        return evaluate(self.body, bindings, self.limits, self.prims)
-
-
 def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
                 prims) -> ValueEntry:
     """Construct (and semantically fingerprint) the value for op(args).
 
-    Base-typed results combine the arguments' cached outcomes instead of
-    re-evaluating the whole term; arrow-typed results fall back to full
-    evaluation with battery probing."""
+    A base-typed result is computed from the arguments' stored outcomes,
+    applying the operation once per distinct argument vector over the
+    contexts (see _applied).  The memo relies on a contract: a primitive is
+    a pure function of its argument values, and a learned operation's body
+    is closed.  Each application runs on a fresh step budget and reports
+    the steps it took, so the outcomes are those plain evaluation gives
+    the term, step errors included.  Where the arguments and the
+    application might run out of steps together, and for an arrow-typed
+    result or an argument with no stored outcomes (a concrete function
+    value), the term is evaluated in full; an arrow-typed result is then
+    probed on the battery."""
     terms = []
     weight = 1
     kinds = []
@@ -596,66 +591,132 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
     term = Apply(PrimRef(op.name), tuple(terms))
     ret = op.signature.ret
     fv = tuple(sorted(arg_free_vars(arg_entries)))
+    provenance = (op.name, tuple(kinds))
     if isinstance(ret, Arrow):
-        # no cached outcomes: they would keep closures in the store
+        # no stored outcomes: they would keep closures in the store
         sig = compute_signature(term, task, limits, prims, fv, ret)
         return ValueEntry(term, weight, ret, sig, free_vars=fv,
-                          provenance=(op.name, tuple(kinds)))
-    plan = []  # per argument: how to produce its value in each context
-    cached = True
-    for e, pty in arg_entries:
+                          provenance=provenance)
+    found = _applied(prims[op.name], arg_entries, terms, task, limits, prims,
+                     bool(fv))
+    if found is None:
+        found = _evaluated(term, task, limits, prims, fv)
+    outcomes, steps = found
+    return ValueEntry(term, weight, ret,
+                      sig_from_outcomes(term, outcomes, fv, ret),
+                      free_vars=fv, provenance=provenance, outcomes=outcomes,
+                      steps=steps)
+
+
+def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
+             rows: bool):
+    """(outcomes, steps) of applying `fn` to the argument entries, from
+    their stored outcomes, or None when the term must be evaluated in full.
+
+    The contexts are the examples, or example x battery row when `rows`.
+    Each context's argument vector is one key: an argument's stored outcome
+    in that context, or for a lifted lambda the context's example index,
+    since its body may read task inputs.  The operation is applied once per
+    distinct key through invoke_prim, in an evaluator of its own when a
+    lambda or a learned operation takes steps, and the outcome is spread
+    back over the contexts with that key.
+
+    The outcomes are those of evaluating the term (eval_outcomes) because:
+    - by build_entry's contract only a lambda argument depends on the
+      example;
+    - the first error among the arguments, in order, is the outcome; an
+      argument or an application that runs out of steps on its own also
+      does in the term;
+    - otherwise a context takes one step for the Apply node, one per lambda
+      argument, the steps of the other arguments and those of the
+      application.  If the arguments' `steps` and the longest application
+      fit the limit together, no context runs out of steps; if they may
+      not, None."""
+    examples = range(len(task.examples))
+    cols, lams = [], []
+    lam_at = None  # position of the first lambda argument
+    bound = 1  # steps before the application, in any context
+    for (e, pty), t in zip(arg_entries, terms):
         if isinstance(pty, Arrow):
             if e.ty == pty:
-                plan.append(("term", e.term, None))
-            else:
-                plan.append(("lift", e.term,
-                             tuple(arrow_placeholder_names(pty))))
-        elif e.outcomes is None:
-            cached = False
-            break
-        elif e.free_vars:
-            plan.append(("rows", e.outcomes, None))
+                return None  # a concrete function value
+            if lam_at is None:
+                lam_at = len(lams)
+            cols.append(_spread(examples) if rows else examples)
+            lams.append(t)
+            bound += 1
+            continue
+        if e.outcomes is None or e.steps is None:
+            return None
+        lams.append(None)
+        bound += e.steps
+        if e.free_vars:
+            cols.append(chain.from_iterable(e.outcomes))
+        elif rows:
+            cols.append(_spread(e.outcomes))
         else:
-            plan.append(("flat", e.outcomes, None))
-    if cached:
-        fn = prims[op.name]
-        rows = range(BATTERY_ROWS) if fv else (0,)
-        outs = []
-        for i, (inputs, _out) in enumerate(task.examples):
-            per_row = []
-            for r in rows:
-                res = None
-                args = []
-                for kind, data, names in plan:
-                    if kind == "flat":
-                        o = data[i]
-                    elif kind == "rows":
-                        o = data[i][r]
-                    elif kind == "lift":
-                        args.append(_LiftedClosure(data, names, inputs,
-                                                   limits, prims))
-                        continue
-                    else:
-                        o = _eval_once(data, dict(inputs), limits, prims)
-                    if o[0] == "e":
-                        res = o
-                        break
-                    v = o[1]
-                    args.append(list(v) if type(v) is list else v)
-                if res is None:
-                    try:
-                        v = invoke_prim(fn, args, limits, prims)
-                        res = ("fn", v) if is_function_value(v) else ("ok", v)
-                    except EvalError as err:
-                        res = ("e", err.kind)
-                per_row.append(res)
-            outs.append(tuple(per_row) if fv else per_row[0])
-        outcomes = tuple(outs)
+            cols.append(e.outcomes)
+    if bound > limits.max_steps:
+        return None
+    longest = 0
+    if lam_at is None and type(fn) is not LearnedOp:
+        # no evaluator needed: a primitive of base values takes no steps
+        def apply(key):
+            args = []
+            for o in key:
+                if o[0] == "e":
+                    return o
+                args.append(_runtime_value(o))
+            try:
+                return canon_value(invoke_prim(fn, args, limits, prims))
+            except EvalError as err:
+                return ("e", err.kind)
     else:
-        outcomes = eval_outcomes(term, task, limits, prims, fv)
-    sig = sig_from_outcomes(term, outcomes, fv, ret)
-    return ValueEntry(term, weight, ret, sig, free_vars=fv,
-                      provenance=(op.name, tuple(kinds)), outcomes=outcomes)
+        def apply(key):
+            nonlocal longest
+            for o, lam in zip(key, lams):
+                if lam is None and o[0] == "e":
+                    return o
+            i = 0 if lam_at is None else key[lam_at]
+            ev = Evaluator(prims, task.examples[i][0], limits)
+            args = [_runtime_value(o) if lam is None else Closure(lam, [], ev)
+                    for o, lam in zip(key, lams)]
+            try:
+                o = canon_value(invoke_prim(fn, args, limits, prims, ev))
+            except EvalError as err:
+                if err.kind == "steps":
+                    return ("e", "steps")
+                o = ("e", err.kind)
+            if ev.steps > longest:
+                longest = ev.steps
+            return o
+
+    memo = {}
+    outs = []
+    for key in zip(*cols):
+        o = memo.get(key)
+        if o is None:
+            o = memo[key] = apply(key)
+        outs.append(o)
+    if bound + longest > limits.max_steps:
+        return None
+    if rows:
+        return tuple(zip(*[iter(outs)] * BATTERY_ROWS)), bound + longest
+    return tuple(outs), bound + longest
+
+
+def _spread(per_example):
+    """Each item repeated once per battery row, as a column over the
+    contexts (example x row)."""
+    return chain.from_iterable(map(repeat, per_example,
+                                   repeat(BATTERY_ROWS)))
+
+
+def _runtime_value(o):
+    """The argument value a stored (non-error) outcome stands for; a list
+    is rebuilt, so a primitive never shares one with the store."""
+    v = o[1]
+    return list(v) if type(v) is tuple else v
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ The ``solution`` line is optional reference metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .lang import INT, BOOL, INT_LIST, LangError, Ty, parse_type
+from .lang import INT, BOOL, INT_LIST, LangError, Ty, canon_value, parse_type
 
 
 class TaskFormatError(Exception):
@@ -56,6 +57,13 @@ class Task:
     @property
     def outputs(self):
         return tuple(o for _, o in self.examples)
+
+    @cached_property
+    def output_sig(self) -> tuple:
+        """The outputs in signature form (lang.canon_value): a value
+        signature ("v", outcomes) solves the task when its outcomes equal
+        this."""
+        return tuple(canon_value(o) for o in self.outputs)
 
 
 def value_type(v) -> Ty:

@@ -9,18 +9,21 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import pbesynth
-from pbesynth.dsl import DSLibrary, Operation, default_list_dsl
+from pbesynth.dsl import (
+    DSLibrary, LearnedAbstraction, Operation, abstraction_func,
+    default_list_dsl, load_library,
+)
 from pbesynth.guidance import (
     FEATURE_DIM, LinearScorer, TraceGenConfig, generate_traces, train_scorer,
 )
 from pbesynth.lang import (
     INT, INT_LIST, Arrow, ConstInt, EvalError, EvalLimits, format_term,
-    parse_term, term_size,
+    parse_term, parse_type, term_size,
 )
 from pbesynth.synthesis import (
-    SearchConfig, UniformScorer, ValueEntry, ValueStore, _sampler_dists,
-    admissible, arrow_placeholder_names, beam_select_args, build_entry,
-    compute_signature, eval_outcomes,
+    SearchConfig, UniformScorer, ValueEntry, ValueStore, _evaluated,
+    _sampler_dists, admissible, arrow_placeholder_names, beam_select_args,
+    build_entry, compute_signature, eval_outcomes,
     exhaustive_search, init_store, lib_placeholders, make_context, search,
     sig_from_outcomes, signature_solves,
 )
@@ -127,7 +130,8 @@ ARROW_LIB = DSLibrary([
 
 def test_arrow_returning_op_signatures_are_pinned():
     """build_entry signatures of arrow-typed results, recorded before
-    compute_signature was folded into sig_from_outcomes."""
+    compute_signature was folded into sig_from_outcomes; a function value
+    with an arrow parameter is opaque and named by its term."""
     task = Task("t", (("xs", INT_LIST),),
                 (({"xs": [1, 2, 3]}, [1]), ({"xs": [4]}, [4])))
     prims = ARROW_LIB.prims()
@@ -145,8 +149,9 @@ def test_arrow_returning_op_signatures_are_pinned():
     loop = build("Loop", xs, zero, build("Len", xs))
     assert format_term(loop.term) == "(Loop xs 0 (Len xs))"
     assert loop.outcomes is None
-    opaque = ("opaque-arrow",)
+    opaque = ("opaque-arrow", "(Loop xs 0 (Len xs))")
     assert loop.signature == ("c", (opaque, opaque))
+    opaque = ("opaque-arrow", "(Loop xs 0 %0i)")
     assert build("Loop", xs, zero, ph).signature == \
         ("f", ("%0i",), ((opaque,) * 8, (opaque,) * 8))
 
@@ -159,6 +164,26 @@ def test_arrow_returning_op_signatures_are_pinned():
     assert build("Adder", one).signature == ("c", (plus[1], plus[1]))
     assert build("Adder", ph).signature == \
         ("f", ("%0i",), (tuple(plus), tuple(plus)))
+
+
+def test_opaque_arrow_values_with_different_terms_stay_apart():
+    # (Loop xs 0 0) and (Loop xs 0 1) return different functions of a
+    # function; neither can be probed on the battery, so each keeps its own
+    # entry
+    task = Task("t", (("xs", INT_LIST),), (({"xs": [1, 2, 3]}, [1]),))
+    store = init_store(task, ARROW_LIB, LIMITS)
+    xs, zero, one, _ph = store.entries
+    loop = ARROW_LIB.op("Loop")
+    built = []
+    for hi in (zero, one):
+        tup = tuple(zip((xs, zero, hi), loop.signature.params))
+        entry, is_new, _ = store.add(build_entry(loop, tup, task, LIMITS,
+                                                 ARROW_LIB.prims()))
+        assert is_new
+        built.append(entry)
+    assert [format_term(e.term) for e in built] == \
+        ["(Loop xs 0 0)", "(Loop xs 0 1)"]
+    assert all(store.entries[e.index] is e for e in built)
 
 
 def test_admissible_requires_one_allowed_set():
@@ -198,6 +223,19 @@ def test_store_keeps_lighter_term():
     assert not is_new and improved
     assert canon.weight == 3
     assert format_term(canon.term) == "(Add (Head xs) 1)"
+
+
+def test_store_improvement_takes_the_new_terms_steps():
+    # a lighter term may take more steps; entries built on the improved
+    # entry evaluate its new term
+    store = ValueStore()
+    heavy = _entry("(Add (Head xs) (Subtract 1 0))", 5, INT)
+    heavy.steps = 7
+    store.add(heavy)
+    light = _entry("(Add (Head xs) 1)", 3, INT)
+    light.steps = 9
+    canon, _is_new, improved = store.add(light)
+    assert improved and canon is heavy and canon.steps == 9
 
 
 def test_init_store_seeds_inputs_constants_placeholders():
@@ -355,11 +393,103 @@ def test_solution_weight_matches_term_size():
 
 def test_concrete_signature_formats_opaque_terms_only_for_function_values():
     t = parse_term("(Head xs)", NAMES)
-    outs = (("ok", 1), ("e", "domain"))
+    outs = (("i", 1), ("e", "domain"))
     assert sig_from_outcomes(t, outs) == ("v", (("i", 1), ("e", "domain")))
-    fn = (("fn", len), ("ok", 2))
+    fn = (("fn", len), ("i", 2))
     assert sig_from_outcomes(t, fn) == \
         ("v", (("opaque", "(Head xs)"), ("i", 2)))
+
+
+# ---------------------------------------------------------------------------
+# Cached candidate building vs plain evaluation
+# ---------------------------------------------------------------------------
+
+def _with_learned(lib, *defs):
+    """`lib` plus learned operations given as (name, type, body text)."""
+    for name, ty, text in defs:
+        body = parse_term(text, set(lib.op_names()))
+        op = Operation(name, parse_type(ty), abstraction_func(body, lib.prims()),
+                       provenance=LearnedAbstraction(body))
+        lib = DSLibrary(lib.operations + (op,), lib.constants)
+    return lib
+
+
+MICRO_LIB = load_library(os.path.join(
+    os.path.dirname(pbesynth.__file__), "data", "micro_library.txt"))
+# a learned op whose cost grows with its argument (put inside Map below),
+# and one that takes a lambda
+LEARNED_LIB = _with_learned(
+    FULL,
+    ("fn_1", "(Int) -> Int", "(lam (Sum (Map (lam (Add $0 1)) (Range 0 $0))))"),
+    ("fn_2", "((Int) -> Int, IntList) -> IntList", "(lam2 (Map $1 (Reverse $0)))"))
+
+_small_ints = st.integers(-3, 6)
+_small_lists = st.lists(_small_ints, max_size=4)
+
+
+@st.composite
+def _repeating_tasks(draw):
+    """Tasks whose `ys` is the same in every example while `xs` and `n`
+    vary, so a lambda mapped over `ys` sees the same argument values in
+    every example, and gives different results only if it reads `xs` or
+    `n`."""
+    ys = draw(_small_lists)
+    examples = tuple(
+        ({"xs": draw(_small_lists), "ys": list(ys), "n": draw(_small_ints)},
+         draw(_small_lists))
+        for _ in range(draw(st.integers(2, 4))))
+    return Task("t", (("xs", INT_LIST), ("ys", INT_LIST), ("n", INT)),
+                examples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cached_build_entry_matches_plain_evaluation(data):
+    lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
+    limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
+    task = data.draw(_repeating_tasks())
+    prims = lib.prims()
+    allowed = lib_placeholders(lib)[1]
+    store = init_store(task, lib, limits)
+    names = set(lib.op_names())
+
+    def entry(text):
+        # by signature: an input equal to another in every example is
+        # stored once
+        t = parse_term(text, names)
+        fv = ("%0i",) if text == "%0i" else ()
+        return store.get(compute_signature(t, task, limits, prims, fv))
+
+    def build(name, *args):
+        op = lib.op(name)
+        tup = tuple(zip(args, op.signature.params))
+        e = build_entry(op, tup, task, limits, prims)
+        plain = eval_outcomes(e.term, task, limits, prims, e.free_vars)
+        assert e.outcomes == plain, format_term(e.term)
+        assert e.signature == compute_signature(e.term, task, limits, prims,
+                                                e.free_vars, e.ty)
+        # `steps` bounds the steps of every evaluation that completes
+        assert e.steps >= _evaluated(e.term, task, limits, prims,
+                                     e.free_vars)[1]
+        return store.add(e)[0]
+
+    # lambda bodies: one reads a task input, one does not, so over `ys`
+    # its contexts repeat across examples
+    ph, xs, ys = entry("%0i"), entry("xs"), entry("ys")
+    bodies = [build("Add", ph, build("Head", xs)), build("Add", ph, entry("1"))]
+    if lib is LEARNED_LIB:
+        bodies.append(build("fn_1", ph))
+    for body in bodies:
+        build("Map", body, ys)
+        if lib is LEARNED_LIB:
+            build("fn_2", body, ys)
+    for _ in range(data.draw(st.integers(0, 30))):
+        op = data.draw(st.sampled_from(lib.operations))
+        tup = tuple((data.draw(st.sampled_from(
+            store.candidates_for(pty, allowed))), pty)
+            for pty in op.signature.params)
+        if admissible(tup, allowed):
+            build(op.name, *(e for e, _ in tup))
 
 
 # ---------------------------------------------------------------------------

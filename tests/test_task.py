@@ -23,6 +23,13 @@ ex: xs=[2], n=0 -> 2
 """
 
 
+def test_output_sig_is_computed_once_in_signature_form():
+    t0, t1 = parse_tasks(SAMPLE)
+    assert t0.output_sig == (("l", (4, 8)), ("l", ()))
+    assert t1.output_sig == (("i", 6), ("i", 2))
+    assert t0.output_sig is t0.output_sig
+
+
 def test_parse_value_literals():
     assert parse_value("3") == 3
     assert parse_value("-4") == -4
