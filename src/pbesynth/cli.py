@@ -25,7 +25,7 @@ from .guidance import (
 )
 from .librarian import MineConfig, mine
 from .harness import (
-    EvalReport, RunConfig, emit_plot_data, evaluate, load_solutions,
+    EvalReport, RunConfig, emit_plot_data, evaluate_runs, load_solutions,
     run_sleep, run_wake, save_eval_report, save_solutions, wake_sleep_loop,
 )
 
@@ -61,7 +61,6 @@ _CONFIG_KEYS = {
     "max_weight": int,
     "stop_on_solve": _parse_bool,
     "virtual_clock": _parse_bool,
-    "virtual_seconds_per_candidate": float,
     "restarts_enabled": _parse_bool,
     "max_eval_steps": int,
     "episode_timeout": float,
@@ -256,8 +255,8 @@ def cmd_eval(args, cfg: RunConfig):
     tasks = load_tasks(args.tasks)
     lib = _load_library(args)
     scorer = _load_scorer(args)
-    rep = evaluate(tasks, lib, scorer, cfg.search, cfg.trials,
-                   label=args.label)
+    rep = evaluate_runs(tasks, lib, scorer, cfg.search, cfg.trials,
+                        label=args.label)
     path = _out_path(cfg, f"eval_{args.label}.json")
     save_eval_report(rep, path)
     print(f"solve rate {rep.solve_rate_mean:.3f} "

@@ -4,7 +4,7 @@ learned abstractions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .lang import (
     INT, BOOL, INT_LIST, Arrow, Term, Lam, ConstInt, ConstBool, ConstList,
@@ -153,10 +153,6 @@ def default_list_dsl() -> DSLibrary:
     return DSLibrary(ops, tuple(_DEFAULT_CONSTANTS), version=0)
 
 
-def make_library(ops: Iterable[Operation], constants) -> DSLibrary:
-    return DSLibrary(tuple(ops), tuple(constants), version=0)
-
-
 # ---------------------------------------------------------------------------
 # Extension with mined abstractions
 # ---------------------------------------------------------------------------
@@ -274,13 +270,11 @@ def save_library(lib: DSLibrary, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_library(path, primitive_registry: Optional[dict] = None) -> DSLibrary:
+def load_library(path) -> DSLibrary:
     """Load a library file.  Primitive semantics are resolved by name against
-    `primitive_registry` (defaults to the bundled list DSL's primitives)."""
-    if primitive_registry is None:
-        registry = {n: (sig, fn) for n, sig, fn in _PRIMITIVES}
-    else:
-        registry = dict(primitive_registry)
+    the bundled list DSL's primitives.  A library that validate_dsl finds
+    unsound raises LangError."""
+    registry = {n: (sig, fn) for n, sig, fn in _PRIMITIVES}
     with open(path) as fh:
         raw = [ln.rstrip("\n") for ln in fh]
     lines = [ln for ln in raw if ln.strip()]
@@ -327,4 +321,7 @@ def load_library(path, primitive_registry: Optional[dict] = None) -> DSLibrary:
         op = Operation(name, sig, abstraction_func(body, lib.prims()),
                        provenance=LearnedAbstraction(body, iteration))
         lib = DSLibrary(lib.operations + (op,), lib.constants, lib.version)
+    violations = validate_dsl(lib)
+    if violations:
+        raise LangError(f"invalid library {path}: " + "; ".join(violations))
     return DSLibrary(lib.operations, lib.constants, version)

@@ -15,12 +15,13 @@ import random
 import zlib
 from dataclasses import dataclass, field, replace
 
-from .lang import INT, BOOL, INT_LIST, Apply, Lam, PrimRef, EvalLimits
-from .dsl import DSLibrary
-from .task import Task, format_value, parse_value, _split_commas
-from .synthesis import (
-    ScoreContext, exhaustive_search, lib_placeholders, make_context,
+from .lang import (
+    INT, BOOL, INT_LIST, Apply, Lam, PrimRef, EvalLimits, format_term,
+    runtime_value,
 )
+from .dsl import DSLibrary
+from .task import Task, format_value, parse_decls, parse_example
+from .synthesis import ScoreContext, exhaustive_search, make_context
 
 FEATURE_DIM = 12
 
@@ -160,12 +161,6 @@ class TraceDataset:
     episodes: list = field(default_factory=list)
     steps: list = field(default_factory=list)
 
-    def steps_per_op(self):
-        counts = {}
-        for s in self.steps:
-            counts[s.op_name] = counts.get(s.op_name, 0) + 1
-        return counts
-
     def merge(self, other: "TraceDataset") -> "TraceDataset":
         if other.library_version != self.library_version:
             raise ValueError("cannot merge traces across library versions")
@@ -205,30 +200,17 @@ def _random_inputs(decls, rng: random.Random):
 
 def _sig_outputs(entry):
     """Concrete per-example values from a value signature, or None if any
-    example errored."""
-    if not entry.signature or entry.signature[0] != "v":
+    example errored or gave a function."""
+    sig = entry.signature
+    if not sig or sig[0] != "v" or any(o[0] not in ("i", "b", "l")
+                                       for o in sig[1]):
         return None
-    outs = []
-    for out in entry.signature[1]:
-        if out[0] == "i":
-            outs.append(out[1])
-        elif out[0] == "b":
-            outs.append(out[1])
-        elif out[0] == "l":
-            outs.append(list(out[1]))
-        else:
-            return None
-    return outs
+    return [runtime_value(o) for o in sig[1]]
 
 
 def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
-    """Run seeded random episodes and replay reachable values as targets.
-
-    Episodes are independent and merged in episode order."""
-    from .lang import format_term
-
+    """Run seeded random episodes and replay reachable values as targets."""
     data = TraceDataset(lib.version)
-    _names, allowed = lib_placeholders(lib)
     timeout = cfg.effective_timeout(lib)
     per_episode = max(timeout / max(cfg.episodes, 1), 1e-9)
     for ep in range(cfg.episodes):
@@ -258,21 +240,20 @@ def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
             ep_idx = len(data.episodes)
             data.episodes.append(
                 TraceEpisode(ep_idx, task, format_term(target.term)))
-            _emit_steps(data, ep_idx, target, store, lib, task, allowed, rng,
+            _emit_steps(data, ep_idx, target, store, lib, task, rng,
                         cfg.max_negatives)
     return data
 
 
-def _emit_steps(data, ep_idx, entry, store, lib, task, allowed, rng,
-                max_negatives):
+def _emit_steps(data, ep_idx, entry, store, lib, task, rng, max_negatives):
     op_name, choices = entry.provenance
     op = lib.op(op_name)
-    chosen = [store.entries[idx] for idx, _kind in choices]
+    chosen = [store.entries[idx] for idx in choices]
     for pos, (pty, pick) in enumerate(zip(op.signature.params, chosen)):
         ctx = make_context(task, op, pos)
         prefix = tuple(chosen[:pos])
         positive = tuple(extract_features(op_name, prefix, pick, ctx))
-        pool = [e for e in store.candidates_for(pty, allowed)
+        pool = [e for e in store.candidates_for(pty)
                 if e.index != pick.index]
         if len(pool) > max_negatives:
             pool = rng.sample(pool, max_negatives)
@@ -281,7 +262,7 @@ def _emit_steps(data, ep_idx, entry, store, lib, task, allowed, rng,
         data.steps.append(TraceStep(ep_idx, op_name, pos, positive, negatives))
     for child in chosen:
         if child.provenance is not None:
-            _emit_steps(data, ep_idx, child, store, lib, task, allowed, rng,
+            _emit_steps(data, ep_idx, child, store, lib, task, rng,
                         max_negatives)
 
 
@@ -293,8 +274,7 @@ MIN_STEPS_PER_OP = 10
 
 
 def train_scorer(data: TraceDataset, init: LinearScorer = None,
-                 seed: int = 0, max_steps: int = 10000,
-                 learning_rate: float = 0.5) -> LinearScorer:
+                 seed: int = 0, max_steps: int = 10000) -> LinearScorer:
     """Pairwise logistic ranking: each trace step contributes (positive,
     negative) feature pairs for its operation.  Deterministic for a fixed
     seed.  Operations seen in fewer than MIN_STEPS_PER_OP steps keep their
@@ -325,7 +305,7 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
             if margin > 30:
                 continue
             g = 1.0 / (1.0 + math.exp(margin))  # sigmoid(-margin)
-            lr = learning_rate / (1.0 + step / 2000.0)
+            lr = 0.5 / (1.0 + step / 2000.0)
             for i in range(FEATURE_DIM):
                 w[i] += lr * g * (pos[i] - neg[i])
         params[op_name] = w
@@ -360,14 +340,14 @@ def load_scorer(path) -> LinearScorer:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != f"format: {_SCORER_FORMAT}":
         raise ValueError(f"not a scorer file: {path}")
-    if lines[1] != f"dim: {FEATURE_DIM}":
+    if lines[1:2] != [f"dim: {FEATURE_DIM}"]:
         raise ValueError("scorer feature dimension mismatch")
     params = {}
     report = {}
     for ln in lines[2:]:
         if ln.startswith("op "):
             head, vec = ln[3:].split(":", 1)
-            params[head.strip()] = [float(x) for x in vec.split()]
+            params[head.strip()] = list(_parse_vec(vec.split()))
         elif ln.startswith("note "):
             head, note = ln[5:].split(":", 1)
             report[head.strip()] = note.strip()
@@ -380,8 +360,13 @@ def _fmt_vec(v):
     return ",".join(repr(x) for x in v)
 
 
-def _parse_vec(text):
-    return tuple(float(x) for x in text.split(",") if x)
+def _parse_vec(items) -> tuple:
+    """A feature vector from its numbers' texts; empty texts are skipped."""
+    vec = tuple(float(x) for x in items if x)
+    if len(vec) != FEATURE_DIM:
+        raise ValueError(f"feature vector of length {len(vec)}, expected "
+                         f"{FEATURE_DIM}")
+    return vec
 
 
 def save_traces(data: TraceDataset, path) -> None:
@@ -406,39 +391,40 @@ def save_traces(data: TraceDataset, path) -> None:
 
 
 def load_traces(path) -> TraceDataset:
-    from .lang import parse_type
-
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != f"format: {_TRACE_FORMAT}":
         raise ValueError(f"not a trace file: {path}")
-    version = int(lines[1].split(":", 1)[1])
-    data = TraceDataset(version)
+    if len(lines) < 4:
+        raise ValueError(f"truncated trace file: {path}")
+    header = {}
+    for key, ln in zip(("library-version", "episodes", "steps"), lines[1:]):
+        name, _, value = ln.partition(":")
+        if name != key:
+            raise ValueError(f"expected a {key!r} line, got {ln!r}")
+        header[key] = int(value)
+    data = TraceDataset(header["library-version"])
     for ln in lines[4:]:
         if ln.startswith("episode "):
             head, decls, exs, term = [p.strip() for p in ln.split("|")]
             idx = int(head.split()[1])
-            input_types = []
-            for d in _split_commas(decls):
-                n, tytext = d.split(":", 1)
-                input_types.append((n.strip(), parse_type(tytext)))
-            examples = []
-            for ex in exs.split(";"):
-                left, right = ex.rsplit("->", 1)
-                inputs = {}
-                for b in _split_commas(left):
-                    n, v = b.split("=", 1)
-                    inputs[n.strip()] = parse_value(v)
-                examples.append((inputs, parse_value(right)))
-            task = Task(f"trace-{idx}", tuple(input_types), tuple(examples),
+            task = Task(f"trace-{idx}", parse_decls(decls),
+                        tuple(parse_example(ex) for ex in exs.split(";")),
                         solution=term)
             data.episodes.append(TraceEpisode(idx, task, term))
         elif ln.startswith("step "):
             head, pos_text, neg_text = [p.strip() for p in ln.split("|")]
             _, ep, op_name, position = head.split()
-            negs = tuple(_parse_vec(t) for t in neg_text.split(";") if t)
+            negs = tuple(_parse_vec(t.split(","))
+                         for t in neg_text.split(";") if t)
             data.steps.append(TraceStep(int(ep), op_name, int(position),
-                                        _parse_vec(pos_text), negs))
+                                        _parse_vec(pos_text.split(",")),
+                                        negs))
         else:
             raise ValueError(f"malformed trace line: {ln!r}")
+    held = (len(data.episodes), len(data.steps))
+    if held != (header["episodes"], header["steps"]):
+        raise ValueError(f"{path} declares {header['episodes']} episodes and "
+                         f"{header['steps']} steps, but holds {held[0]} and "
+                         f"{held[1]}")
     return data

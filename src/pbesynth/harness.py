@@ -15,7 +15,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .lang import Apply, PrimRef, format_term, parse_term, subtrees, term_size
+from .lang import (
+    Apply, EvalError, EvalLimits, PrimRef, canon_value, evaluate, format_term,
+    parse_term, subtrees, term_size,
+)
 from .dsl import DSLibrary, load_library, save_library
 from .synthesis import SearchConfig, UniformScorer, search
 from .guidance import (
@@ -65,8 +68,9 @@ class WakeReport:
 
 def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
              workers: int = 1) -> WakeReport:
-    """Solve each task independently.  Results are collected in task order,
-    so the report does not depend on scheduling."""
+    """Solve each task independently, and check each solution under the
+    search's limits.  Results are collected in task order, so the report
+    does not depend on scheduling."""
     def solve_one(task):
         return search(task, lib, scorer, cfg)
 
@@ -77,17 +81,15 @@ def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
         results = [solve_one(t) for t in tasks]
     pairs = list(zip(tasks, results))
     for task, r in pairs:
-        if r.solved and not verify_solution(task, r.program, lib):
+        if r.solved and not verify_solution(task, r.program, lib,
+                                            cfg.eval_limits):
             raise RuntimeError(
                 f"search reported a bad solution for task {task.name!r}")
     return WakeReport(pairs, sum(1 for _, r in pairs if r.solved), len(pairs))
 
 
 def verify_solution(task, program, lib: DSLibrary,
-                    limits=None) -> bool:
-    from .lang import EvalError, EvalLimits, canon_value, evaluate
-
-    limits = limits or EvalLimits()
+                    limits: EvalLimits = EvalLimits()) -> bool:
     prims = lib.prims()
     for (inputs, _output), want in zip(task.examples, task.output_sig):
         try:
@@ -298,8 +300,8 @@ def _count_learned_uses(program, lib: DSLibrary, uses: dict):
             uses[t.fn.name] = uses.get(t.fn.name, 0) + 1
 
 
-def evaluate(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
-             trials: int = 5, label: str = "run") -> EvalReport:
+def evaluate_runs(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
+                  trials: int = 5, label: str = "run") -> EvalReport:
     """Repeated evaluation runs differing only in search seed."""
     per_trial = []
     by_weight: dict = {}

@@ -77,7 +77,7 @@ def _parse_type_inner(text: str):
         rest = text[i + 1:].lstrip()
         if not rest.startswith("->"):
             raise LangError(f"expected '->' in type: {text!r}")
-        params = tuple(parse_type(p) for p in _split_top(inner))
+        params = tuple(parse_type(p) for p in split_top(inner))
         ret, rest = _parse_type_inner(rest[2:])
         return Arrow(params, ret), rest
     for name in sorted(_BASE_TYPES, key=len, reverse=True):
@@ -86,20 +86,21 @@ def _parse_type_inner(text: str):
     raise LangError(f"cannot parse type: {text!r}")
 
 
-def _split_top(text: str):
+def split_top(text: str):
+    """The parts of `text` between its commas outside parentheses and
+    brackets, stripped, empty parts dropped."""
     parts, depth, cur = [], 0, []
     for c in text:
-        if c == "(":
+        if c in "([":
             depth += 1
-        elif c == ")":
+        elif c in ")]":
             depth -= 1
         if c == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(c)
-    if cur:
-        parts.append("".join(cur))
+    parts.append("".join(cur))
     return [p for p in (s.strip() for s in parts) if p]
 
 
@@ -218,18 +219,6 @@ def free_input_vars(t: Term) -> frozenset:
     for c in children(t):
         out |= free_input_vars(c)
     return out
-
-
-def shift_indices(t: Term, amount: int, cutoff: int = 0) -> Term:
-    """Add `amount` to every free index >= cutoff."""
-    if isinstance(t, BoundVar):
-        return BoundVar(t.index + amount) if t.index >= cutoff else t
-    if isinstance(t, Lam):
-        return Lam(t.arity, shift_indices(t.body, amount, cutoff + t.arity))
-    if isinstance(t, Apply):
-        return Apply(shift_indices(t.fn, amount, cutoff),
-                     tuple(shift_indices(a, amount, cutoff) for a in t.args))
-    return t
 
 
 def bind_input_vars(body: Term, params) -> Lam:
@@ -638,6 +627,13 @@ def canon_value(v: Value) -> tuple:
     return ("fn", v)
 
 
+def runtime_value(o) -> Value:
+    """The runtime value a value outcome (see canon_value) stands for; a
+    list is rebuilt, so its user never shares one with the store."""
+    v = o[1]
+    return list(v) if type(v) is tuple else v
+
+
 def _call_prim(fn, args):
     """Apply a primitive's Python function, turning its Python errors into
     domain errors."""
@@ -698,7 +694,7 @@ class Evaluator:
                     raise EvalError("unknown", f"unknown operation {t.fn.name!r}")
                 return check_value(self._invoke(fn, args), self.limits)
             fv = self.eval(t.fn, env)
-            if not callable(fv) or isinstance(fv, (bool, int, list)):
+            if not is_function_value(fv):
                 raise EvalError("domain", "applying a non-function value")
             return check_value(fv(*args), self.limits)
         raise EvalError("unknown", f"not a term: {t!r}")

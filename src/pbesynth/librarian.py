@@ -32,10 +32,6 @@ class Hole:
     id: int
 
 
-def is_hole(t) -> bool:
-    return isinstance(t, Hole)
-
-
 def hole_occurrences(p) -> List[Tuple[int, tuple]]:
     """(hole id, path) for every hole occurrence, preorder."""
     return [(t.id, path) for path, t in subtrees(p) if isinstance(t, Hole)]

@@ -18,14 +18,14 @@ import random
 import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .lang import (
     INT, BOOL, INT_LIST, Arrow, Ty, Term, Apply, InputVar, PrimRef, Closure,
     EvalError, EvalLimits, Evaluator, LearnedOp, bind_input_vars,
-    canon_value, evaluate, format_term, invoke_prim, term_size,
+    canon_value, evaluate, format_term, invoke_prim, runtime_value, term_size,
 )
 from .dsl import DSLibrary, Operation
 from .sampling import UniqueSampler
@@ -41,6 +41,7 @@ BOOL_BATTERY = (True, False)
 BATTERY_ROWS = 8
 
 _TY_ABBREV = {INT: "i", BOOL: "b", INT_LIST: "l"}
+_ABBREV_TY = {a: ty for ty, a in _TY_ABBREV.items()}
 
 
 def _battery_value(ty: Ty, row: int, position: int):
@@ -59,9 +60,7 @@ def placeholder_name(position: int, ty: Ty) -> str:
 
 def placeholder_info(name: str):
     """Inverse of placeholder_name."""
-    code = name[-1]
-    ty = {"i": INT, "b": BOOL, "l": INT_LIST}[code]
-    return int(name[1:-1]), ty
+    return int(name[1:-1]), _ABBREV_TY[name[-1]]
 
 
 def lib_placeholders(lib: DSLibrary):
@@ -75,14 +74,9 @@ def lib_placeholders(lib: DSLibrary):
     allowed = set()
     for op in lib.operations:
         for pty in op.signature.params:
-            if isinstance(pty, Arrow):
-                if any(isinstance(q, Arrow) for q in pty.params):
-                    continue
-                group = []
-                for j, q in enumerate(pty.params):
-                    n = placeholder_name(j, q)
-                    names[n] = q
-                    group.append(n)
+            group = isinstance(pty, Arrow) and arrow_placeholder_names(pty)
+            if group:
+                names.update(zip(group, pty.params))
                 allowed.add(frozenset(group))
     return names, sorted(allowed, key=sorted)
 
@@ -217,7 +211,7 @@ class ValueEntry:
     signature: tuple
     free_vars: Tuple[str, ...] = ()
     index: int = -1
-    provenance: Optional[tuple] = None  # (op_name, ((entry_idx, kind), ...))
+    provenance: Optional[tuple] = None  # (op_name, (entry_idx, ...))
     outcomes: Optional[tuple] = None  # per-context outcomes, see eval_outcomes
     # at least the steps `term` takes in any context whose evaluation does
     # not run out of steps; None if unknown
@@ -231,15 +225,19 @@ class ValueEntry:
 class ValueStore:
     """Signature-deduplicated entries, append-only: `add` appends a new
     signature or lowers an existing entry's weight in place, and logs the
-    index of every entry it improves in `improved`."""
+    index of every entry it improves in `improved`.
 
-    def __init__(self):
+    `allowed` lists the placeholder sets usable together in one term: those
+    of the library the store searches (lib_placeholders)."""
+
+    def __init__(self, allowed=()):
+        self.allowed = list(allowed)
         self.by_sig: Dict[tuple, ValueEntry] = {}
         self.entries: List[ValueEntry] = []  # insertion order; index == position
         self.by_ty: Dict[Ty, List[ValueEntry]] = {}
         self.improved: List[int] = []  # indices add() improved, in order
-        # (type, allowed sets) -> [list, by_ty[type] seen, by_ty[ret] seen]
-        self._cands: Dict[tuple, list] = {}
+        # type -> [list, by_ty[type] seen, by_ty[ret] seen]
+        self._cands: Dict[Ty, list] = {}
         self._scorer = None
         self._scores: Dict[tuple, float] = {}
         self._rankings: Dict[tuple, _Ranking] = {}
@@ -274,18 +272,17 @@ class ValueStore:
     def of_type(self, ty: Ty):
         return self.by_ty.get(ty, [])
 
-    def candidates_for(self, pty: Ty, allowed_sets):
+    def candidates_for(self, pty: Ty):
         """Entries usable at a parameter of type `pty`, in insertion order.
 
-        One list per (type, allowed sets) is extended on each call from the
-        entries `by_ty` gained since the last one; the list is shared, so
-        callers must not mutate it.  For an arrow parameter the new entries
-        of its two sources all come after every old one, so sorting just
-        them by index keeps the whole list in insertion order."""
-        key = (pty, tuple(allowed_sets))
-        state = self._cands.get(key)
+        One list per type is extended on each call from the entries `by_ty`
+        gained since the last one; the list is shared, so callers must not
+        mutate it.  For an arrow parameter the new entries of its two
+        sources all come after every old one, so sorting just them by index
+        keeps the whole list in insertion order."""
+        state = self._cands.get(pty)
         if state is None:
-            state = self._cands[key] = [[], 0, 0]
+            state = self._cands[pty] = [[], 0, 0]
         out, seen, seen_ret = state
         same = self.by_ty.get(pty, ())
         state[1] = len(same)
@@ -302,7 +299,7 @@ class ValueStore:
             out += new
         else:
             out += [e for e in same[seen:] if not e.free_vars or any(
-                s.issuperset(e.free_vars) for s in allowed_sets)]
+                s.issuperset(e.free_vars) for s in self.allowed)]
         return out
 
     def score_cache(self, scorer) -> Dict[tuple, float]:
@@ -405,17 +402,12 @@ def admissible(tup, allowed_sets) -> bool:
     return not free or any(free <= s for s in allowed_sets)
 
 
-def _arg_kind(entry: ValueEntry, pty: Ty) -> str:
-    if isinstance(pty, Arrow) and entry.ty != pty:
-        return "lift"
-    return "plain"
-
-
 def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
     """Seed a store with task inputs, library constants, and the lambda-body
     placeholders the library's arrow parameters call for."""
     prims = lib.prims()
-    store = ValueStore()
+    names, allowed = lib_placeholders(lib)
+    store = ValueStore(allowed)
 
     def seed(t, weight, ty, free_vars=()):
         outs, steps = _evaluated(t, task, limits, prims, free_vars)
@@ -428,7 +420,6 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
         seed(t, term_size(t), ty)
     for literal, ty in lib.constants:
         seed(literal, term_size(literal), ty)
-    names, _allowed = lib_placeholders(lib)
     for name in sorted(names):
         seed(InputVar(name), 0, names[name], (name,))
     return store
@@ -440,14 +431,14 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
 
 @dataclass
 class ScoreContext:
-    task: Task
-    op_name: str
+    """What a scorer sees of an argument position besides the operation
+    and the candidate: the position and the task's outputs."""
     position: int
-    output_sig: tuple
+    output_sig: tuple  # Task.output_sig
 
 
 def make_context(task: Task, op: Operation, position: int) -> ScoreContext:
-    return ScoreContext(task, op.name, position, task.output_sig)
+    return ScoreContext(position, task.output_sig)
 
 
 class UniformScorer:
@@ -466,10 +457,10 @@ class UniformScorer:
         return 0.0
 
 
-def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
-                     task: Task, allowed_sets) -> List[tuple]:
+def beam_select_args(op: Operation, store: ValueStore, scorer,
+                     beam_size: int, task: Task) -> List[tuple]:
     """Up to `beam_size` type-compatible argument tuples, best cumulative
-    score first; `beam_size=None` means unbounded (full cross product).
+    score first.
 
     Positions fill left to right, the scorer seeing the chosen prefix.
     Ties break by (lower total weight, earlier insertion order).
@@ -483,16 +474,14 @@ def beam_select_args(op: Operation, store: ValueStore, scorer, beam_size,
     params = op.signature.params
     per_position = []
     for j, pty in enumerate(params):
-        cands = store.candidates_for(pty, allowed_sets)
+        cands = store.candidates_for(pty)
         if not cands:
             return []
         per_position.append((pty, cands, make_context(task, op, j)))
-    if beam_size is None:
-        beams = product(*[[(e, pty) for e in cands]
-                          for pty, cands, _ctx in per_position])
-    else:
-        beams = _beam(op.name, per_position, store, scorer, beam_size)
-    return [entries for entries in beams if admissible(entries, allowed_sets)]
+    return [entries
+            for entries in _beam(op.name, per_position, store, scorer,
+                                 beam_size)
+            if admissible(entries, store.allowed)]
 
 
 def _beam(name, per_position, store, scorer, beam_size):
@@ -583,15 +572,13 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
     probed on the battery."""
     terms = []
     weight = 1
-    kinds = []
     for e, pty in arg_entries:
         terms.append(arg_term(e, pty))
-        kinds.append((e.index, _arg_kind(e, pty)))
         weight += e.weight
     term = Apply(PrimRef(op.name), tuple(terms))
     ret = op.signature.ret
     fv = tuple(sorted(arg_free_vars(arg_entries)))
-    provenance = (op.name, tuple(kinds))
+    provenance = (op.name, tuple(e.index for e, _ in arg_entries))
     if isinstance(ret, Arrow):
         # no stored outcomes: they would keep closures in the store
         sig = compute_signature(term, task, limits, prims, fv, ret)
@@ -666,7 +653,7 @@ def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
             for o in key:
                 if o[0] == "e":
                     return o
-                args.append(_runtime_value(o))
+                args.append(runtime_value(o))
             try:
                 return canon_value(invoke_prim(fn, args, limits, prims))
             except EvalError as err:
@@ -679,7 +666,7 @@ def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
                     return o
             i = 0 if lam_at is None else key[lam_at]
             ev = Evaluator(prims, task.examples[i][0], limits)
-            args = [_runtime_value(o) if lam is None else Closure(lam, [], ev)
+            args = [runtime_value(o) if lam is None else Closure(lam, [], ev)
                     for o, lam in zip(key, lams)]
             try:
                 o = canon_value(invoke_prim(fn, args, limits, prims, ev))
@@ -712,13 +699,6 @@ def _spread(per_example):
                                    repeat(BATTERY_ROWS)))
 
 
-def _runtime_value(o):
-    """The argument value a stored (non-error) outcome stands for; a list
-    is rebuilt, so a primitive never shares one with the store."""
-    v = o[1]
-    return list(v) if type(v) is tuple else v
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive bottom-up enumeration (training-data generator and test oracle)
 # ---------------------------------------------------------------------------
@@ -747,8 +727,8 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     """Enumerate all semantically distinct values of weight <= max_weight,
     nondecreasing in weight, deduplicating by signature."""
     prims = lib.prims()
-    _names, allowed = lib_placeholders(lib)
     store = init_store(task, lib, limits)
+    allowed = store.allowed
     solution = None
     for e in store.entries:
         if signature_solves(e.signature, task):
@@ -758,15 +738,14 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     start = time.monotonic()
     candidates = 0
 
-    def by_weight(pty, allowed_sets, w):
-        return [e for e in store.candidates_for(pty, allowed_sets)
-                if e.weight == w]
+    def by_weight(pty, w):
+        return [e for e in store.candidates_for(pty) if e.weight == w]
 
     for w in range(1, max_weight + 1):
         for op in lib.operations:
             params = op.signature.params
             for split in _partitions(w - 1, len(params)):
-                lists = [by_weight(pty, allowed, pw)
+                lists = [by_weight(pty, pw)
                          for pty, pw in zip(params, split)]
                 if any(not l for l in lists):
                     continue
@@ -804,7 +783,6 @@ class SearchConfig:
     random_seed: int = 0
     stop_on_solve: bool = True
     virtual_clock: bool = False
-    virtual_seconds_per_candidate: float = 0.001
     restarts_enabled: bool = True
 
     def __post_init__(self):
@@ -825,11 +803,13 @@ class SolveResult:
 
 
 class _Clock:
-    """Wall clock, or a deterministic clock advancing per candidate."""
+    """Wall clock, or a deterministic clock advancing 1 ms per considered
+    candidate."""
 
-    def __init__(self, virtual: bool, quantum: float):
+    QUANTUM = 0.001
+
+    def __init__(self, virtual: bool):
         self.virtual = virtual
-        self.quantum = quantum
         self.ticks = 0
         self.start = time.monotonic()
 
@@ -838,7 +818,7 @@ class _Clock:
 
     def now(self) -> float:
         if self.virtual:
-            return self.ticks * self.quantum
+            return self.ticks * self.QUANTUM
         return time.monotonic() - self.start
 
 
@@ -847,8 +827,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     unique-sampling round whenever the beam stalls, periodic restarts, and
     signature-based deduplication throughout."""
     prims = lib.prims()
-    _names, allowed = lib_placeholders(lib)
-    clock = _Clock(cfg.virtual_clock, cfg.virtual_seconds_per_candidate)
+    clock = _Clock(cfg.virtual_clock)
     candidates = 0
     restarts = 0
     rng = random.Random(cfg.random_seed)
@@ -870,7 +849,9 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             break
 
     def tuple_key(tup):
-        return tuple((e.index, _arg_kind(e, pty), e.weight) for e, pty in tup)
+        # the parameter's type and the entry's fix how the entry is placed,
+        # so (index, weight) pairs identify the term within one operation
+        return tuple((e.index, e.weight) for e, _ in tup)
 
     def out_of_time():
         return clock.now() >= cfg.per_task_timeout
@@ -894,14 +875,14 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             return True
         return False
 
-    def execute(op, tup):
-        """Returns (is_new, improved) after executing one argument tuple.
+    def execute(op, tup, key):
+        """Returns (is_new, improved) after executing one argument tuple,
+        whose tuple_key is `key`.
 
         Ticks the clock for every considered tuple (including duplicates),
         so virtual time always advances."""
         nonlocal candidates, solution
         clock.tick()
-        key = tuple_key(tup)
         if key in executed[op.name]:
             return False, False
         executed[op.name].add(key)
@@ -923,18 +904,19 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         for op in lib.operations:
             if cfg.beam_size is None:
                 tuples = _fresh_product(
-                    op, store, allowed, seen_len[op.name],
+                    op, store, seen_len[op.name],
                     set(store.improved[seen_improved[op.name]:]),
                     cfg.max_weight)
                 seen_len[op.name] = len(store.entries)
                 seen_improved[op.name] = len(store.improved)
             else:
                 tuples = beam_select_args(op, store, scorer, cfg.beam_size,
-                                          task, allowed)
+                                          task)
             for tup in tuples:
-                if tuple_key(tup) in executed[op.name]:
+                key = tuple_key(tup)
+                if key in executed[op.name]:
                     continue
-                is_new, improved = execute(op, tup)
+                is_new, improved = execute(op, tup, key)
                 progress = progress or is_new or improved
                 if solution is not None and cfg.stop_on_solve:
                     return SolveResult(True, solution.term, clock.now(),
@@ -957,7 +939,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         for op in lib.operations:
             state = samplers.get(op.name)
             if state is None:
-                dists = _sampler_dists(op, store, scorer, task, allowed)
+                dists = _sampler_dists(op, store, scorer, task)
                 if dists is None:
                     continue
                 state = UniqueSampler(dists)
@@ -967,11 +949,11 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                 if tup is None:
                     break
                 tup = tuple(tup)
-                if not admissible(tup, allowed):
+                if not admissible(tup, store.allowed):
                     clock.tick()
                     continue
                 sampled_any = True
-                is_new, improved = execute(op, tup)
+                is_new, improved = execute(op, tup, tuple_key(tup))
                 progress = progress or is_new or improved
                 if solution is not None and cfg.stop_on_solve:
                     return SolveResult(True, solution.term, clock.now(),
@@ -993,7 +975,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                        candidates, restarts, store)
 
 
-def _fresh_product(op: Operation, store: ValueStore, allowed, seen: int,
+def _fresh_product(op: Operation, store: ValueStore, seen: int,
                    improved: set, max_weight: int):
     """Type-compatible argument tuples within the weight budget that earlier
     rounds have not covered: each must use an entry newer than `seen` or one
@@ -1001,13 +983,14 @@ def _fresh_product(op: Operation, store: ValueStore, allowed, seen: int,
     iteration is lazy and weight-pruned (lists sorted by weight)."""
     lists = []
     for pty in op.signature.params:
-        cands = store.candidates_for(pty, allowed)
+        cands = store.candidates_for(pty)
         if not cands:
             return iter(())
         lists.append(sorted(((e, pty) for e in cands),
                             key=lambda c: (c[0].weight, c[0].index)))
     budget = max_weight - 1
     k = len(lists)
+    allowed = store.allowed
 
     def rec(j, acc, wsum, fresh):
         if j == k:
@@ -1025,14 +1008,13 @@ def _fresh_product(op: Operation, store: ValueStore, allowed, seen: int,
     return rec(0, [], 0, False)
 
 
-def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task,
-                   allowed):
+def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
     """Per position, a softmax over the scores of its candidates with an
     empty prefix, read through the store's score cache (see
     beam_select_args)."""
     dists = []
     for j, pty in enumerate(op.signature.params):
-        cands = store.candidates_for(pty, allowed)
+        cands = store.candidates_for(pty)
         if not cands:
             return None
         ctx = make_context(task, op, j)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .lang import INT, BOOL, INT_LIST, LangError, Ty, canon_value, parse_type
+from .lang import (
+    INT, BOOL, INT_LIST, LangError, Ty, canon_value, parse_type, split_top,
+)
 
 
 class TaskFormatError(Exception):
@@ -45,10 +47,6 @@ class Task:
         out_tys = {value_type(o) for _, o in self.examples}
         if len(out_tys) != 1:
             raise TaskFormatError(f"task {self.name!r}: outputs mix types")
-
-    @property
-    def input_type_map(self) -> dict:
-        return dict(self.input_types)
 
     @property
     def output_type(self) -> Ty:
@@ -102,21 +100,32 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _split_commas(text: str):
-    """Split on top-level commas (not inside brackets)."""
-    parts, depth, cur = [], 0, []
-    for c in text:
-        if c == "[":
-            depth += 1
-        elif c == "]":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+def parse_decls(text: str) -> tuple:
+    """(name, Ty) pairs from declarations such as ``xs:IntList, n:Int``."""
+    decls = []
+    for decl in split_top(text):
+        if ":" not in decl:
+            raise TaskFormatError(f"bad input declaration {decl!r}")
+        vname, tytext = decl.split(":", 1)
+        try:
+            decls.append((vname.strip(), parse_type(tytext)))
+        except LangError as e:
+            raise TaskFormatError(str(e)) from None
+    return tuple(decls)
+
+
+def parse_example(text: str):
+    """(inputs, output) from an example such as ``xs=[1,2], n=3 -> [4]``."""
+    if "->" not in text:
+        raise TaskFormatError(f"example missing '->': {text!r}")
+    left, right = text.rsplit("->", 1)
+    inputs = {}
+    for binding in split_top(left):
+        if "=" not in binding:
+            raise TaskFormatError(f"bad binding {binding!r}")
+        vname, vtext = binding.split("=", 1)
+        inputs[vname.strip()] = parse_value(vtext)
+    return inputs, parse_value(right)
 
 
 def parse_tasks(text: str):
@@ -150,26 +159,9 @@ def _parse_block(lines) -> Task:
         if key == "name":
             name = rest
         elif key == "inputs":
-            for decl in _split_commas(rest):
-                if ":" not in decl:
-                    raise TaskFormatError(f"bad input declaration {decl!r}")
-                vname, tytext = decl.split(":", 1)
-                try:
-                    ty = parse_type(tytext)
-                except LangError as e:
-                    raise TaskFormatError(str(e)) from None
-                input_types.append((vname.strip(), ty))
+            input_types.extend(parse_decls(rest))
         elif key == "ex":
-            if "->" not in rest:
-                raise TaskFormatError(f"example missing '->': {ln!r}")
-            left, right = rest.rsplit("->", 1)
-            inputs = {}
-            for binding in _split_commas(left):
-                if "=" not in binding:
-                    raise TaskFormatError(f"bad binding {binding!r}")
-                vname, vtext = binding.split("=", 1)
-                inputs[vname.strip()] = parse_value(vtext)
-            examples.append((inputs, parse_value(right)))
+            examples.append(parse_example(rest))
         elif key == "solution":
             solution = rest
         else:

@@ -24,7 +24,7 @@ from scipy import stats as sstats
 from pbesynth.dsl import DSLibrary, Operation, default_list_dsl, load_library
 from pbesynth.guidance import TraceGenConfig
 from pbesynth.harness import (
-    RunConfig, emit_plot_data, evaluate as harness_evaluate, load_solutions,
+    RunConfig, emit_plot_data, evaluate_runs, load_solutions,
     save_eval_report, verify_solution, wake_sleep_loop,
 )
 from pbesynth.lang import (
@@ -584,10 +584,10 @@ DET_TASKS = [t for t in MICRO_TASKS
 
 def _one_det_run(outdir):
     wake_sleep_loop(DET_TASKS, MICRO_LIB, outdir, DET_CFG)
-    rep_a = harness_evaluate(DET_TASKS, MICRO_LIB, UniformScorer(),
-                             DET_CFG.search, trials=2, label="base")
-    rep_b = harness_evaluate(DET_TASKS, MICRO_LIB, UniformScorer(),
-                             DET_CFG.search, trials=2, label="again")
+    rep_a = evaluate_runs(DET_TASKS, MICRO_LIB, UniformScorer(),
+                          DET_CFG.search, trials=2, label="base")
+    rep_b = evaluate_runs(DET_TASKS, MICRO_LIB, UniformScorer(),
+                          DET_CFG.search, trials=2, label="again")
     save_eval_report(rep_a, os.path.join(outdir, "eval_base.json"))
     save_eval_report(rep_b, os.path.join(outdir, "eval_again.json"))
     return emit_plot_data(rep_a, rep_b, os.path.join(outdir, "plots"))

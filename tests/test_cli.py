@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import pbesynth
 from pbesynth.cli import ConfigError, build_run_config, main, read_config_file
 from pbesynth.harness import RunConfig
 from pbesynth.dsl import DSLibrary, default_list_dsl, save_library
@@ -248,8 +249,35 @@ def test_eval_and_report(tmp_path, tasks_file, small_library, capsys):
     assert os.path.exists(os.path.join(outdir, "significance.csv"))
 
 
+def test_ill_typed_library_exits_2(tmp_path, tasks_file, capsys):
+    path = tmp_path / "library.txt"
+    save_library(default_list_dsl(), str(path))
+    with open(path, "a") as fh:
+        fh.write("op fn_0 : (Int) -> Int = (lam (Reverse $0)) ; iter 0\n")
+    code = run_cli("solve", "--tasks", tasks_file, "--library", str(path),
+                   *FAST_FLAGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "fn_0" in err
+
+
+def test_truncated_traces_exit_2(tmp_path, capsys):
+    path = tmp_path / "traces.txt"
+    path.write_text("format: pbesynth-traces 1\n")
+    code = run_cli("train", "--traces", str(path),
+                   "--output-dir", str(tmp_path / "out"), *FAST_FLAGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_installed_entry_point_runs():
+    # the package the tests import, whether or not PYTHONPATH names it
+    src = os.path.dirname(os.path.dirname(pbesynth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pbesynth.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "pbesynth" in proc.stdout

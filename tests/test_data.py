@@ -4,9 +4,11 @@ from importlib.resources import files
 
 import pytest
 
-from pbesynth.dsl import default_list_dsl, load_library
+from pbesynth.dsl import (
+    default_list_dsl, load_library, save_library, validate_dsl,
+)
 from pbesynth.harness import verify_solution
-from pbesynth.lang import parse_term, term_size
+from pbesynth.lang import LangError, parse_term, term_size
 from pbesynth.task import load_tasks, parse_tasks, save_tasks
 
 DATA = files("pbesynth") / "data"
@@ -46,6 +48,27 @@ def test_micro_library_is_a_sub_library():
     full_ops = {o.name for o in FULL.operations}
     assert {o.name for o in micro.operations} <= full_ops
     assert len(micro.operations) == 8
+
+
+def test_bundled_libraries_are_valid(tmp_path):
+    path = tmp_path / "library.txt"
+    save_library(FULL, str(path))
+    for lib in (FULL, load_library(str(path)),
+                load_library(str(DATA / "micro_library.txt"))):
+        assert validate_dsl(lib) == []
+
+
+# a learned operation whose body does not have its declared type
+ILL_TYPED_OP = "op fn_0 : (Int) -> Int = (lam (Reverse $0)) ; iter 0\n"
+
+
+def test_load_library_rejects_ill_typed_learned_op(tmp_path):
+    path = tmp_path / "library.txt"
+    save_library(FULL, str(path))
+    with open(path, "a") as fh:
+        fh.write(ILL_TYPED_OP)
+    with pytest.raises(LangError, match="fn_0"):
+        load_library(str(path))
 
 
 def test_bundled_task_names_are_unique():

@@ -241,6 +241,54 @@ def test_load_scorer_rejects_garbage(tmp_path):
         load_scorer(path)
 
 
+def test_load_scorer_rejects_short_vector(tmp_path):
+    path = tmp_path / "scorer.txt"
+    path.write_text(f"format: pbesynth-scorer 1\ndim: {FEATURE_DIM}\n"
+                    "op Add : 1.0 2.0\n")
+    with pytest.raises(ValueError, match="length 2"):
+        load_scorer(path)
+
+
+def _saved_trace_lines(tmp_path):
+    data = generate_traces(sub_dsl("Add", "Head"), SMALL_TRACE_CFG)
+    assert data.episodes and data.steps
+    path = tmp_path / "traces.txt"
+    save_traces(data, path)
+    return path, path.read_text().splitlines()
+
+
+def test_load_traces_rejects_truncated_file(tmp_path):
+    path, lines = _saved_trace_lines(tmp_path)
+    path.write_text(lines[0] + "\n")
+    with pytest.raises(ValueError, match="truncated"):
+        load_traces(path)
+
+
+def test_load_traces_reads_header_lines_by_name(tmp_path):
+    path, lines = _saved_trace_lines(tmp_path)
+    # without its version line, the first episode line would be skipped
+    path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="library-version"):
+        load_traces(path)
+
+
+def test_load_traces_checks_declared_counts(tmp_path):
+    path, lines = _saved_trace_lines(tmp_path)
+    path.write_text("\n".join(lines[:-1]) + "\n")  # one step line lost
+    with pytest.raises(ValueError, match="declares"):
+        load_traces(path)
+
+
+def test_load_traces_rejects_short_vector(tmp_path):
+    path, lines = _saved_trace_lines(tmp_path)
+    head, positive, negatives = lines[-1].split("|")
+    short = ",".join(positive.split(",")[:-1])
+    path.write_text("\n".join(lines[:-1] + [f"{head}|{short}|{negatives}"])
+                    + "\n")
+    with pytest.raises(ValueError, match="length"):
+        load_traces(path)
+
+
 def test_traces_save_load_round_trip(tmp_path):
     lib = sub_dsl("Add", "Subtract", "Head", "Reverse")
     data = generate_traces(lib, SMALL_TRACE_CFG)

@@ -8,13 +8,15 @@ import pytest
 from pbesynth.dsl import DSLibrary, default_list_dsl
 from pbesynth.guidance import TraceGenConfig
 from pbesynth.harness import (
-    EvalReport, RunConfig, compare_evals, emit_plot_data, evaluate,
+    EvalReport, RunConfig, compare_evals, emit_plot_data, evaluate_runs,
     load_solutions, run_sleep, run_wake, save_solutions,
     verify_solution, wake_sleep_loop,
 )
-from pbesynth.lang import INT_LIST, format_term, parse_term
+from pbesynth.lang import (
+    INT_LIST, EvalLimits, evaluate, format_term, parse_term,
+)
 from pbesynth.librarian import MineConfig
-from pbesynth.synthesis import SearchConfig, UniformScorer
+from pbesynth.synthesis import SearchConfig, SolveResult, UniformScorer
 from pbesynth.task import Task
 
 FULL = default_list_dsl()
@@ -39,9 +41,8 @@ FAST_TRACES = TraceGenConfig(episode_timeout=10.0, per_abstraction_bonus=0,
 
 def list_task(name, solution_text, inputs_list):
     term = parse_term(solution_text, NAMES)
-    from pbesynth.lang import EvalLimits, evaluate as ev
     exs = tuple(({"xs": list(xs)},
-                 ev(term, {"xs": list(xs)}, EvalLimits(), FULL.prims()))
+                 evaluate(term, {"xs": list(xs)}, EvalLimits(), FULL.prims()))
                 for xs in inputs_list)
     return Task(name, (("xs", INT_LIST),), exs, solution=solution_text)
 
@@ -102,6 +103,25 @@ def test_verify_solution():
     assert verify_solution(t, good, FULL)
     assert not verify_solution(t, bad, FULL)
     assert not verify_solution(t, err, FULL)
+
+
+def test_run_wake_verifies_under_the_search_limits(monkeypatch):
+    # four nested Maps over 1,000 elements take more than the default
+    # 10,000 steps
+    program = parse_term("(Map (lam (Add $0 $0)) " * 4 + "xs" + ")" * 4,
+                         NAMES)
+    limits = EvalLimits(max_steps=1_000_000)
+    xs = list(range(1000))
+    task = Task("deep", (("xs", INT_LIST),),
+                (({"xs": xs}, evaluate(program, {"xs": xs}, limits,
+                                       FULL.prims())),))
+    assert not verify_solution(task, program, FULL)
+    monkeypatch.setattr(
+        "pbesynth.harness.search",
+        lambda task, lib, scorer, cfg: SolveResult(True, program, 0.0, 1, 0))
+    wake = run_wake([task], FULL, UniformScorer(),
+                    SearchConfig(eval_limits=limits))
+    assert wake.solved == 1
 
 
 def test_solutions_save_load_round_trip(tmp_path):
@@ -208,8 +228,8 @@ def test_wake_sleep_loop_is_deterministic(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_report_contents():
-    rep = evaluate(TASKS + [HARD], SMALL_LIB, UniformScorer(), FAST_SEARCH,
-                   trials=2, label="base")
+    rep = evaluate_runs(TASKS + [HARD], SMALL_LIB, UniformScorer(),
+                        FAST_SEARCH, trials=2, label="base")
     assert rep.label == "base"
     assert rep.per_trial_solved == [3, 3]
     assert rep.total == 4
@@ -221,16 +241,16 @@ def test_evaluate_report_contents():
 
 
 def test_eval_report_json_round_trip():
-    rep = evaluate(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
-                   trials=2, label="base")
+    rep = evaluate_runs(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
+                        trials=2, label="base")
     back = EvalReport.from_json(rep.to_json())
     assert json.dumps(back.to_json(), sort_keys=True) == \
         json.dumps(rep.to_json(), sort_keys=True)
 
 
 def test_compare_identical_evals_is_degenerate_null():
-    rep = evaluate(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
-                   trials=3, label="x")
+    rep = evaluate_runs(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
+                        trials=3, label="x")
     test = compare_evals(rep, rep)
     assert test.statistic == 0.0
     assert test.p_value == 1.0
@@ -238,10 +258,10 @@ def test_compare_identical_evals_is_degenerate_null():
 
 
 def test_emit_plot_data_writes_five_csvs(tmp_path):
-    a = evaluate(TASKS + [HARD], SMALL_LIB, UniformScorer(), FAST_SEARCH,
-                 trials=2, label="a")
-    b = evaluate(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
-                 trials=2, label="b")
+    a = evaluate_runs(TASKS + [HARD], SMALL_LIB, UniformScorer(),
+                      FAST_SEARCH, trials=2, label="a")
+    b = evaluate_runs(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
+                      trials=2, label="b")
     written = emit_plot_data(a, b, str(tmp_path / "plots"))
     assert len(written) == 5
     names = {os.path.basename(p) for p in written}

@@ -259,7 +259,7 @@ def test_candidates_for_arrow_position_lifts_bodies():
     store = init_store(TASK, lib, LIMITS)
     map_op = lib.op("Map")
     fn_param = map_op.signature.params[0]
-    cands = store.candidates_for(fn_param, [frozenset({"%0i"})])
+    cands = store.candidates_for(fn_param)
     # at least the bare placeholder body and the Int constants qualify
     assert any(e.free_vars == ("%0i",) for e in cands)
     assert any(not e.free_vars and e.ty == INT for e in cands)
@@ -380,8 +380,7 @@ def test_beam_select_args_respects_beam_size():
     lib = sub_dsl("Add")
     store = init_store(TASK, lib, LIMITS)
     op = lib.op("Add")
-    tuples = beam_select_args(op, store, UniformScorer(), 3, TASK,
-                              lib_placeholders(lib)[1])
+    tuples = beam_select_args(op, store, UniformScorer(), 3, TASK)
     assert 0 < len(tuples) <= 3
 
 
@@ -449,7 +448,6 @@ def test_cached_build_entry_matches_plain_evaluation(data):
     limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
     task = data.draw(_repeating_tasks())
     prims = lib.prims()
-    allowed = lib_placeholders(lib)[1]
     store = init_store(task, lib, limits)
     names = set(lib.op_names())
 
@@ -486,9 +484,9 @@ def test_cached_build_entry_matches_plain_evaluation(data):
     for _ in range(data.draw(st.integers(0, 30))):
         op = data.draw(st.sampled_from(lib.operations))
         tup = tuple((data.draw(st.sampled_from(
-            store.candidates_for(pty, allowed))), pty)
+            store.candidates_for(pty))), pty)
             for pty in op.signature.params)
-        if admissible(tup, allowed):
+        if admissible(tup, store.allowed):
             build(op.name, *(e for e, _ in tup))
 
 
@@ -496,13 +494,12 @@ def test_cached_build_entry_matches_plain_evaluation(data):
 # Cached argument selection vs the full-sort reference
 # ---------------------------------------------------------------------------
 
-def reference_beam_select_args(op, store, scorer, beam_size, task,
-                               allowed_sets):
+def reference_beam_select_args(op, store, scorer, beam_size, task):
     """beam_select_args without the score cache: every beam prefix re-scores
     every candidate, then a full sort and truncate."""
     per_position = []
     for j, pty in enumerate(op.signature.params):
-        cands = store.candidates_for(pty, allowed_sets)
+        cands = store.candidates_for(pty)
         if not cands:
             return []
         per_position.append((pty, cands, make_context(task, op, j)))
@@ -523,15 +520,15 @@ def reference_beam_select_args(op, store, scorer, beam_size, task,
         for e, pty in entries:
             if not isinstance(pty, Arrow):
                 free |= set(e.free_vars)
-        if not free or any(free <= s for s in allowed_sets):
+        if not free or any(free <= s for s in store.allowed):
             out.append(entries)
     return out
 
 
-def reference_sampler_dists(op, store, scorer, task, allowed):
+def reference_sampler_dists(op, store, scorer, task):
     dists = []
     for j, pty in enumerate(op.signature.params):
-        cands = store.candidates_for(pty, allowed)
+        cands = store.candidates_for(pty)
         if not cands:
             return None
         ctx = make_context(task, op, j)
@@ -545,7 +542,6 @@ def reference_sampler_dists(op, store, scorer, task, allowed):
 
 DIFF_LIB = sub_dsl("Add", "Subtract", "Head", "Take", "IsEven", "Map",
                    "Filter", "ZipWith")
-DIFF_ALLOWED = lib_placeholders(DIFF_LIB)[1]
 
 
 def _grow(store, data, max_steps=25):
@@ -556,7 +552,7 @@ def _grow(store, data, max_steps=25):
         op = data.draw(st.sampled_from(DIFF_LIB.operations))
         tup = []
         for pty in op.signature.params:
-            cands = store.candidates_for(pty, DIFF_ALLOWED)
+            cands = store.candidates_for(pty)
             tup.append((cands[data.draw(st.integers(0, len(cands) - 1))],
                         pty))
         store.add(build_entry(op, tuple(tup), TASK, LIMITS, prims))
@@ -620,15 +616,11 @@ def _dist_ids(dists):
 def _assert_selection_matches_reference(store, scorer):
     for op in DIFF_LIB.operations:
         for beam in (1, 3, 10):
-            got = beam_select_args(op, store, scorer, beam, TASK,
-                                   DIFF_ALLOWED)
-            want = reference_beam_select_args(op, store, scorer, beam, TASK,
-                                              DIFF_ALLOWED)
+            got = beam_select_args(op, store, scorer, beam, TASK)
+            want = reference_beam_select_args(op, store, scorer, beam, TASK)
             assert _ids(got) == _ids(want), (op.name, beam)
-        assert _dist_ids(_sampler_dists(op, store, scorer, TASK,
-                                        DIFF_ALLOWED)) == \
-            _dist_ids(reference_sampler_dists(op, store, scorer, TASK,
-                                              DIFF_ALLOWED))
+        assert _dist_ids(_sampler_dists(op, store, scorer, TASK)) == \
+            _dist_ids(reference_sampler_dists(op, store, scorer, TASK))
 
 
 @settings(max_examples=60, deadline=None)
@@ -655,7 +647,7 @@ def test_selection_breaks_rounded_score_ties_like_reference():
     prims = DIFF_LIB.prims()
     for _ in range(40):
         op = rng.choice(DIFF_LIB.operations)
-        tup = tuple((rng.choice(store.candidates_for(pty, DIFF_ALLOWED)), pty)
+        tup = tuple((rng.choice(store.candidates_for(pty)), pty)
                     for pty in op.signature.params)
         store.add(build_entry(op, tup, TASK, LIMITS, prims))
     for _ in range(5):
@@ -665,7 +657,7 @@ def test_selection_breaks_rounded_score_ties_like_reference():
         _assert_selection_matches_reference(store, scorer)
 
 
-def reference_candidates_for(store, pty, allowed_sets):
+def reference_candidates_for(store, pty):
     """candidates_for as a fresh filter of the store's entries by type."""
     out = []
     if isinstance(pty, Arrow):
@@ -677,13 +669,12 @@ def reference_candidates_for(store, pty, allowed_sets):
         return sorted(out, key=lambda e: e.index)
     return [e for e in store.of_type(pty)
             if not e.free_vars or any(set(e.free_vars) <= s
-                                      for s in allowed_sets)]
+                                      for s in store.allowed)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_incremental_candidates_match_fresh_filter(data):
-    store = init_store(TASK, DIFF_LIB, LIMITS)
     params = sorted({pty for op in DIFF_LIB.operations
                      for pty in op.signature.params}, key=repr)
     # concrete function values, as an arrow-returning operation would add:
@@ -692,7 +683,10 @@ def test_incremental_candidates_match_fresh_filter(data):
         ("(lam $0)", DIFF_LIB.op("Map").signature.params[0]),
         ("IsEven", DIFF_LIB.op("Filter").signature.params[0]),
         ("Add", DIFF_LIB.op("ZipWith").signature.params[0]))]
-    for allowed in (DIFF_ALLOWED, []):
+    # one store per allowed set: the library's, and none
+    for allowed in (lib_placeholders(DIFF_LIB)[1], []):
+        store = init_store(TASK, DIFF_LIB, LIMITS)
+        store.allowed = allowed
         for _round in range(data.draw(st.integers(1, 4))):
             _grow(store, data, max_steps=10)
             for _ in range(data.draw(st.integers(0, 2))):
@@ -701,8 +695,8 @@ def test_incremental_candidates_match_fresh_filter(data):
             for _ in range(data.draw(st.integers(0, 2))):
                 _improve(store, data)
             for pty in params:
-                got = store.candidates_for(pty, allowed)
-                assert got == reference_candidates_for(store, pty, allowed)
+                got = store.candidates_for(pty)
+                assert got == reference_candidates_for(store, pty)
                 assert [e.index for e in got] == \
                     sorted(e.index for e in got)
 
