@@ -282,7 +282,7 @@ def load_library(path) -> DSLibrary:
         raise LangError("malformed library file: missing format header")
     if lines[0].split(":", 1)[1].strip() != _FORMAT_ID:
         raise LangError(f"unsupported library format: {lines[0]!r}")
-    if not lines[1].startswith("version:"):
+    if len(lines) < 2 or not lines[1].startswith("version:"):
         raise LangError("malformed library file: missing version")
     version = int(lines[1].split(":", 1)[1])
     constants = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .lang import (
     INT, BOOL, INT_LIST, Apply, Lam, PrimRef, EvalLimits, format_term,
@@ -161,23 +161,6 @@ class TraceDataset:
     episodes: list = field(default_factory=list)
     steps: list = field(default_factory=list)
 
-    def merge(self, other: "TraceDataset") -> "TraceDataset":
-        if other.library_version != self.library_version:
-            raise ValueError("cannot merge traces across library versions")
-        offset = len(self.episodes)
-        eps = list(self.episodes)
-        steps = list(self.steps)
-        for ep in other.episodes:
-            eps.append(replace(ep, index=ep.index + offset,
-                               task=_rename_task(ep.task, ep.index + offset)))
-        for s in other.steps:
-            steps.append(replace(s, episode=s.episode + offset))
-        return TraceDataset(self.library_version, eps, steps)
-
-
-def _rename_task(task: Task, idx: int) -> Task:
-    return Task(f"trace-{idx}", task.input_types, task.examples, task.solution)
-
 
 _TEMPLATES = [
     (("xs", INT_LIST),),
@@ -250,7 +233,7 @@ def _emit_steps(data, ep_idx, entry, store, lib, task, rng, max_negatives):
     op = lib.op(op_name)
     chosen = [store.entries[idx] for idx in choices]
     for pos, (pty, pick) in enumerate(zip(op.signature.params, chosen)):
-        ctx = make_context(task, op, pos)
+        ctx = make_context(task, pos)
         prefix = tuple(chosen[:pos])
         positive = tuple(extract_features(op_name, prefix, pick, ctx))
         pool = [e for e in store.candidates_for(pty)
@@ -407,6 +390,8 @@ def load_traces(path) -> TraceDataset:
     for ln in lines[4:]:
         if ln.startswith("episode "):
             head, decls, exs, term = [p.strip() for p in ln.split("|")]
+            if len(head.split()) != 2:
+                raise ValueError(f"malformed trace line: {ln!r}")
             idx = int(head.split()[1])
             task = Task(f"trace-{idx}", parse_decls(decls),
                         tuple(parse_example(ex) for ex in exs.split(";")),

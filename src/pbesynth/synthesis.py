@@ -18,7 +18,7 @@ import random
 import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -437,7 +437,7 @@ class ScoreContext:
     output_sig: tuple  # Task.output_sig
 
 
-def make_context(task: Task, op: Operation, position: int) -> ScoreContext:
+def make_context(task: Task, position: int) -> ScoreContext:
     return ScoreContext(position, task.output_sig)
 
 
@@ -450,8 +450,6 @@ class UniformScorer:
     sees the chosen `prefix` only as "is `prefix[-1]` this candidate?".
     Argument selection relies on this to score each pair once per store
     (ValueStore.cached_score)."""
-
-    per_op_parameters: dict = {}
 
     def score(self, op_name, prefix, candidate, ctx) -> float:
         return 0.0
@@ -477,7 +475,7 @@ def beam_select_args(op: Operation, store: ValueStore, scorer,
         cands = store.candidates_for(pty)
         if not cands:
             return []
-        per_position.append((pty, cands, make_context(task, op, j)))
+        per_position.append((pty, cands, make_context(task, j)))
     return [entries
             for entries in _beam(op.name, per_position, store, scorer,
                                  beam_size)
@@ -728,44 +726,33 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     nondecreasing in weight, deduplicating by signature."""
     prims = lib.prims()
     store = init_store(task, lib, limits)
-    allowed = store.allowed
-    solution = None
-    for e in store.entries:
-        if signature_solves(e.signature, task):
-            solution = e
-            if stop_on_solve:
-                return ExhaustiveResult(store, solution, 0)
-    start = time.monotonic()
+    solution = _first_solution(store, task)
     candidates = 0
-
-    def by_weight(pty, w):
-        return [e for e in store.candidates_for(pty) if e.weight == w]
-
+    if solution is not None and stop_on_solve:
+        return ExhaustiveResult(store, solution, candidates)
+    start = time.monotonic()
     for w in range(1, max_weight + 1):
         for op in lib.operations:
             params = op.signature.params
             for split in _partitions(w - 1, len(params)):
-                lists = [by_weight(pty, pw)
+                lists = [[(e, pty) for e in store.candidates_for(pty)
+                          if e.weight == pw]
                          for pty, pw in zip(params, split)]
-                if any(not l for l in lists):
-                    continue
-                stack = [()]
-                for pty, cand in zip(params, lists):
-                    stack = [pre + ((e, pty),) for pre in stack for e in cand]
-                for tup in stack:
+                for tup in product(*lists):
                     if timeout is not None and \
                             time.monotonic() - start > timeout:
                         return ExhaustiveResult(store, solution, candidates,
                                                 timed_out=True)
-                    if not admissible(tup, allowed):
+                    if not admissible(tup, store.allowed):
                         continue
                     entry = build_entry(op, tup, task, limits, prims)
                     candidates += 1
-                    _canon, is_new, _imp = store.add(entry)
-                    if is_new and signature_solves(entry.signature, task):
-                        solution = solution or _canon
+                    canon, is_new, _ = store.add(entry)
+                    if is_new and signature_solves(canon.signature, task):
+                        solution = canon
                         if stop_on_solve:
-                            return ExhaustiveResult(store, solution, candidates)
+                            return ExhaustiveResult(store, solution,
+                                                    candidates)
     return ExhaustiveResult(store, solution, candidates)
 
 
@@ -825,147 +812,115 @@ class _Clock:
 def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult:
     """Round-robin over operations: beam-selected argument tuples first, a
     unique-sampling round whenever the beam stalls, periodic restarts, and
-    signature-based deduplication throughout."""
+    signature-based deduplication throughout.
+
+    Both rounds are tuple sources that one executor, `run`, drains."""
     prims = lib.prims()
+    ops = lib.operations
     clock = _Clock(cfg.virtual_clock)
     candidates = 0
     restarts = 0
+    last_restart = 0.0
     rng = random.Random(cfg.random_seed)
     store = init_store(task, lib, cfg.eval_limits)
-    executed: Dict[str, set] = {op.name: set() for op in lib.operations}
+    solution = _first_solution(store, task)
+    executed: Dict[str, set] = {op.name: set() for op in ops}
     samplers: Dict[str, UniqueSampler] = {}
-    last_restart = 0.0
-    solution: Optional[ValueEntry] = None
-    # Incremental full-product state (unbounded beam only): per op, how much
-    # of the store and of its improvement log it has already crossed.
-    seen_len: Dict[str, int] = {op.name: 0 for op in lib.operations}
-    seen_improved: Dict[str, int] = {op.name: 0 for op in lib.operations}
-
-    for e in store.entries:
-        if signature_solves(e.signature, task):
-            solution = e
-            if cfg.stop_on_solve:
-                return SolveResult(True, e.term, clock.now(), 0, 0, store)
-            break
+    # unbounded beam only: per op, how much of the store and of its
+    # improvement log its full product has already crossed
+    seen = dict.fromkeys(executed, (0, 0))
+    sampled_any = False
 
     def tuple_key(tup):
         # the parameter's type and the entry's fix how the entry is placed,
         # so (index, weight) pairs identify the term within one operation
         return tuple((e.index, e.weight) for e, _ in tup)
 
-    def out_of_time():
-        return clock.now() >= cfg.per_task_timeout
+    def finished():
+        return (solution is not None and cfg.stop_on_solve) or \
+            clock.now() >= cfg.per_task_timeout
 
     def restart_due():
         return cfg.restarts_enabled and \
             clock.now() - last_restart >= cfg.restart_interval
 
-    def maybe_restart():
-        nonlocal store, executed, samplers, restarts, last_restart, rng
-        if restart_due() and not out_of_time():
-            restarts += 1
-            last_restart = clock.now()
-            rng = random.Random(cfg.random_seed + restarts)
-            store = init_store(task, lib, cfg.eval_limits)
-            executed = {op.name: set() for op in lib.operations}
-            samplers.clear()
-            for op in lib.operations:
-                seen_len[op.name] = 0
-                seen_improved[op.name] = 0
-            return True
-        return False
-
-    def execute(op, tup, key):
-        """Returns (is_new, improved) after executing one argument tuple,
-        whose tuple_key is `key`.
-
-        Ticks the clock for every considered tuple (including duplicates),
-        so virtual time always advances."""
-        nonlocal candidates, solution
-        clock.tick()
-        if key in executed[op.name]:
-            return False, False
-        executed[op.name].add(key)
-        weight = 1 + sum(e.weight for e, _ in tup)
-        if weight > cfg.max_weight:
-            return False, False
-        entry = build_entry(op, tup, task, cfg.eval_limits, prims)
-        candidates += 1
-        canon, is_new, improved = store.add(entry)
-        if is_new and solution is None and \
-                signature_solves(canon.signature, task):
-            solution = canon
-        return is_new, improved
-
-    while not out_of_time():
-        if maybe_restart():
-            continue
-        progress = False
-        for op in lib.operations:
+    def beam_round():
+        for op in ops:
             if cfg.beam_size is None:
-                tuples = _fresh_product(
-                    op, store, seen_len[op.name],
-                    set(store.improved[seen_improved[op.name]:]),
-                    cfg.max_weight)
-                seen_len[op.name] = len(store.entries)
-                seen_improved[op.name] = len(store.improved)
+                done, logged = seen[op.name]
+                tuples = _fresh_product(op, store, done,
+                                        set(store.improved[logged:]),
+                                        cfg.max_weight)
+                seen[op.name] = (len(store.entries), len(store.improved))
             else:
                 tuples = beam_select_args(op, store, scorer, cfg.beam_size,
                                           task)
             for tup in tuples:
                 key = tuple_key(tup)
-                if key in executed[op.name]:
+                if key not in executed[op.name]:
+                    yield op, tup, key
+
+    def sampling_round():
+        nonlocal sampled_any
+        sampled_any = False
+        for op in ops:
+            sampler = samplers.get(op.name)
+            if sampler is None:
+                dists = _sampler_dists(op, store, scorer, task)
+                if dists is None:
                     continue
-                is_new, improved = execute(op, tup, key)
-                progress = progress or is_new or improved
-                if solution is not None and cfg.stop_on_solve:
-                    return SolveResult(True, solution.term, clock.now(),
-                                       candidates, restarts, store)
-                if out_of_time() or restart_due():
+                sampler = samplers[op.name] = UniqueSampler(dists)
+            for _ in range(cfg.beam_size):
+                tup = sampler.sample(rng)
+                if tup is None:
                     break
-            else:
-                continue
-            break
-        if out_of_time():
-            break
-        if restart_due() or progress:
+                if admissible(tup, store.allowed):
+                    sampled_any = True
+                    yield op, tup, tuple_key(tup)
+                else:
+                    clock.tick()
+
+    def run(tuples, until_restart):
+        """Execute `tuples` until a solve (under stop_on_solve), the
+        timeout or, if `until_restart`, a due restart.  Every tuple ticks
+        the clock.  Returns whether any added or improved an entry."""
+        nonlocal candidates, solution
+        progress = False
+        for op, tup, key in tuples:
+            clock.tick()
+            if key not in executed[op.name]:
+                executed[op.name].add(key)
+                if 1 + sum(e.weight for e, _ in tup) <= cfg.max_weight:
+                    entry = build_entry(op, tup, task, cfg.eval_limits, prims)
+                    candidates += 1
+                    canon, is_new, improved = store.add(entry)
+                    if is_new and solution is None and \
+                            signature_solves(canon.signature, task):
+                        solution = canon
+                    progress = progress or is_new or improved
+            if finished() or (until_restart and restart_due()):
+                break
+        return progress
+
+    while not finished():
+        if restart_due():
+            restarts += 1
+            last_restart = clock.now()
+            rng = random.Random(cfg.random_seed + restarts)
+            store = init_store(task, lib, cfg.eval_limits)
+            executed = {op.name: set() for op in ops}
+            samplers.clear()
+            seen = dict.fromkeys(executed, (0, 0))
+        if run(beam_round(), True) or restart_due() or finished():
             continue
         if cfg.beam_size is None:
             # the unbounded beam already covers the full cross product, so a
             # stalled round means the space under max_weight is exhausted
             break
         # Beam stalled: one unique-sampling round to break out.
-        sampled_any = False
-        for op in lib.operations:
-            state = samplers.get(op.name)
-            if state is None:
-                dists = _sampler_dists(op, store, scorer, task)
-                if dists is None:
-                    continue
-                state = UniqueSampler(dists)
-                samplers[op.name] = state
-            for _ in range(cfg.beam_size):
-                tup = state.sample(rng)
-                if tup is None:
-                    break
-                tup = tuple(tup)
-                if not admissible(tup, store.allowed):
-                    clock.tick()
-                    continue
-                sampled_any = True
-                is_new, improved = execute(op, tup, tuple_key(tup))
-                progress = progress or is_new or improved
-                if solution is not None and cfg.stop_on_solve:
-                    return SolveResult(True, solution.term, clock.now(),
-                                       candidates, restarts, store)
-                if out_of_time():
-                    break
-            if out_of_time():
-                break
-        if progress:
+        if run(sampling_round(), False):
             samplers.clear()  # store changed; supports are stale
-            continue
-        if not sampled_any:
+        elif not sampled_any:
             # no beam progress and sampling supports are spent: the space
             # under max_weight is exhausted (restarts, if any, ran above)
             break
@@ -973,6 +928,12 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     solved = solution is not None
     return SolveResult(solved, solution.term if solved else None, clock.now(),
                        candidates, restarts, store)
+
+
+def _first_solution(store: ValueStore, task: Task) -> Optional[ValueEntry]:
+    """The first entry of `store` that solves `task`, or None."""
+    return next((e for e in store.entries
+                 if signature_solves(e.signature, task)), None)
 
 
 def _fresh_product(op: Operation, store: ValueStore, seen: int,
@@ -1017,7 +978,7 @@ def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
         cands = store.candidates_for(pty)
         if not cands:
             return None
-        ctx = make_context(task, op, j)
+        ctx = make_context(task, j)
         scores = [store.cached_score(scorer, op.name, j, e, ctx)
                   for e in cands]
         m = max(scores)

@@ -272,6 +272,28 @@ def test_truncated_traces_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_library_without_version_line_exits_2(tmp_path, tasks_file, capsys):
+    path = tmp_path / "library.txt"
+    path.write_text("format: pbesynth-lib 1\n")
+    code = run_cli("solve", "--tasks", tasks_file, "--library", str(path),
+                   *FAST_FLAGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: malformed library file: missing version\n"
+
+
+def test_trace_episode_without_index_exits_2(tmp_path, capsys):
+    path = tmp_path / "traces.txt"
+    path.write_text("format: pbesynth-traces 1\nlibrary-version: 0\n"
+                    "episodes: 1\nsteps: 0\n"
+                    "episode | xs:IntList | xs=[1]->1 | 1\n")
+    code = run_cli("train", "--traces", str(path),
+                   "--output-dir", str(tmp_path / "out"), *FAST_FLAGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_installed_entry_point_runs():
     # the package the tests import, whether or not PYTHONPATH names it
     src = os.path.dirname(os.path.dirname(pbesynth.__file__))

@@ -30,7 +30,7 @@ def sub_dsl(*names):
 def _ctx_and_entries():
     lib = sub_dsl("Add", "Map")
     store = init_store(TASK, lib, LIMITS)
-    ctx = make_context(TASK, lib.op("Add"), 0)
+    ctx = make_context(TASK, 0)
     return ctx, store.entries
 
 
@@ -135,19 +135,6 @@ def test_trace_steps_reference_real_operations():
         assert len(s.positive) == FEATURE_DIM
         assert all(len(n) == FEATURE_DIM for n in s.negatives)
         assert len(s.negatives) <= SMALL_TRACE_CFG.max_negatives
-
-
-def test_merge_offsets_episodes_and_rejects_version_mismatch():
-    lib = sub_dsl("Add", "Head")
-    d1 = generate_traces(lib, SMALL_TRACE_CFG)
-    d2 = generate_traces(lib, SMALL_TRACE_CFG)
-    merged = d1.merge(d2)
-    assert len(merged.episodes) == 2 * len(d1.episodes)
-    assert len(merged.steps) == 2 * len(d1.steps)
-    indices = [e.index for e in merged.episodes]
-    assert indices == list(range(len(indices)))
-    with pytest.raises(ValueError):
-        d1.merge(TraceDataset(d1.library_version + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -502,7 +502,7 @@ def reference_beam_select_args(op, store, scorer, beam_size, task):
         cands = store.candidates_for(pty)
         if not cands:
             return []
-        per_position.append((pty, cands, make_context(task, op, j)))
+        per_position.append((pty, cands, make_context(task, j)))
     beams = [((), 0.0, 0, ())]
     for pty, cands, ctx in per_position:
         nxt = []
@@ -531,7 +531,7 @@ def reference_sampler_dists(op, store, scorer, task):
         cands = store.candidates_for(pty)
         if not cands:
             return None
-        ctx = make_context(task, op, j)
+        ctx = make_context(task, j)
         scores = [scorer.score(op.name, (), e, ctx) for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
@@ -736,3 +736,75 @@ def test_guided_search_trajectory_is_pinned():
         got[name] = (format_term(r.program) if r.solved else None,
                      r.candidates_evaluated, len(r.store.entries))
     assert got == PINNED_TRAJECTORY
+
+
+# ---------------------------------------------------------------------------
+# Trajectory pins: restarts, sampling rounds, searching past a solve
+# ---------------------------------------------------------------------------
+
+SMALL_LIB = sub_dsl("Add", "Head", "Map", "Take")
+STEP_LIB = sub_dsl("Add", "Sum", "Range", "Map", "Filter", "IsEven")
+
+# (library, trained scorer?, SearchConfig keywords, {task: (solved, program,
+# candidates_evaluated, restarts, elapsed, store size)}); every search runs
+# on the virtual clock.  Recorded before the beam and the sampling round
+# shared one executor.
+PINNED_SEARCHES = [
+    # restarts, with sampling rounds whenever the beam stalls
+    (FULL, False, dict(beam_size=4, restart_interval=0.15,
+                       per_task_timeout=0.5, max_weight=6),
+     {"reverse": (True, "(Reverse xs)", 37, 0, 0.037, 36),
+      "succ_all": (False, None, 458, 2, 0.5, 59)}),
+    (FULL, True, dict(beam_size=5, restart_interval=0.2,
+                      per_task_timeout=0.5, max_weight=7),
+     {"sort": (True, "(Sort xs)", 50, 0, 0.05, 42),
+      "succ_all": (False, None, 452, 1, 0.5, 135)}),
+    # sampling finds the solution after a restart
+    (SMALL_LIB, False, dict(beam_size=6, restart_interval=0.25,
+                            per_task_timeout=1.0, max_weight=5),
+     {"succ_all": (True, "(Map (lam (Add 1 $0)) xs)", 152, 1, 0.502, 47),
+      "double_all": (False, None, 315, 3, 1.0, 46)}),
+    (SMALL_LIB, False, dict(beam_size=3, restart_interval=0.15,
+                            per_task_timeout=1.0, max_weight=3,
+                            stop_on_solve=False),
+     {"first": (True, "(Head xs)", 200, 6, 1.0, 20),
+      "double_all": (True, "(Map (lam (Add $0 $0)) xs)", 200, 6, 1.0, 20)}),
+    # a step budget that some candidates run out of
+    (STEP_LIB, True, dict(beam_size=10, restart_interval=0.25,
+                          per_task_timeout=1.0, max_weight=8,
+                          eval_limits=EvalLimits(max_steps=30)),
+     {"running_sum": (False, None, 603, 3, 1.0, 62),
+      "double_all": (False, None, 617, 3, 1.0, 61)}),
+    # unbounded search with restarts
+    (SMALL_LIB, False, dict(beam_size=None, restart_interval=0.1,
+                            per_task_timeout=1.0, max_weight=4,
+                            stop_on_solve=False),
+     {"succ_all": (True, "(Map (lam (Add $0 1)) xs)", 1000, 9, 1.0, 50)}),
+    (MICRO_LIB, False, dict(beam_size=None, restart_interval=0.2,
+                            per_task_timeout=0.6, max_weight=5),
+     {"motif_00": (False, None, 600, 2, 0.6, 114)}),
+    # the beam stalls and sampling spends its supports before the timeout
+    (SMALL_LIB, False, dict(beam_size=4, restart_interval=5.0,
+                            per_task_timeout=5.0, max_weight=3,
+                            restarts_enabled=False),
+     {"succ_all": (False, None, 80, 0, 3.0700000000000003, 38)}),
+]
+
+
+def test_search_trajectories_are_pinned():
+    trained = train_scorer(generate_traces(
+        FULL, TraceGenConfig(max_weight=2, episodes=2)))
+    data = os.path.join(os.path.dirname(pbesynth.__file__), "data")
+    tasks = {t.name: t for f in ("tasks.txt", "micro_tasks.txt")
+             for t in load_tasks(os.path.join(data, f))}
+    for lib, is_trained, kw, pinned in PINNED_SEARCHES:
+        cfg = SearchConfig(virtual_clock=True, **kw)
+        scorer = trained if is_trained else UniformScorer()
+        got = {}
+        for name in pinned:
+            r = search(tasks[name], lib, scorer, cfg)
+            got[name] = (r.solved,
+                         format_term(r.program) if r.solved else None,
+                         r.candidates_evaluated, r.restarts, r.elapsed,
+                         len(r.store))
+        assert got == pinned, kw
