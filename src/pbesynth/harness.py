@@ -163,12 +163,15 @@ def load_solutions(path, lib: DSLibrary, tasks_by_name) -> dict:
     corpus = {}
     prims = set(lib.op_names())
     with open(path) as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln:
                 continue
-            name, text = ln.split(":", 1)
+            name, colon, text = ln.partition(":")
             name = name.strip()
+            if not colon or name not in tasks_by_name:
+                raise ValueError(f"{path}:{lineno}: expected '<task>: "
+                                 f"<program>' with a known task, got {ln!r}")
             inputs = {n for n, _ in tasks_by_name[name].input_types}
             corpus.setdefault(name, []).append(
                 parse_term(text.strip(), prims, inputs))

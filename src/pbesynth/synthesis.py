@@ -554,20 +554,23 @@ def _contenders(order, last, score, beam_size):
 # ---------------------------------------------------------------------------
 
 def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
-                prims) -> ValueEntry:
+                prims, table: Optional[dict] = None) -> ValueEntry:
     """Construct (and semantically fingerprint) the value for op(args).
 
     A base-typed result is computed from the arguments' stored outcomes,
     applying the operation once per distinct argument vector over the
-    contexts (see _applied).  The memo relies on a contract: a primitive is
-    a pure function of its argument values, and a learned operation's body
-    is closed.  Each application runs on a fresh step budget and reports
-    the steps it took, so the outcomes are those plain evaluation gives
-    the term, step errors included.  Where the arguments and the
-    application might run out of steps together, and for an arrow-typed
-    result or an argument with no stored outcomes (a concrete function
-    value), the term is evaluated in full; an arrow-typed result is then
-    probed on the battery."""
+    contexts (see _applied).  `table` records those applications; a search
+    passes one table for as long as it keeps its store, so an application
+    made for an earlier candidate is not made again.  Without a table the
+    applications are shared within this call only.  The table relies on a
+    contract: a primitive is a pure function of its argument values, and a
+    learned operation's body is closed.  Each application runs on a fresh
+    step budget and the table keeps the steps it took, so the outcomes are
+    those plain evaluation gives the term, step errors included.  Where the
+    arguments and the application might run out of steps together, and for
+    an arrow-typed result or an argument with no stored outcomes (a
+    concrete function value), the term is evaluated in full; an arrow-typed
+    result is then probed on the battery."""
     terms = []
     weight = 1
     for e, pty in arg_entries:
@@ -582,8 +585,8 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
         sig = compute_signature(term, task, limits, prims, fv, ret)
         return ValueEntry(term, weight, ret, sig, free_vars=fv,
                           provenance=provenance)
-    found = _applied(prims[op.name], arg_entries, terms, task, limits, prims,
-                     bool(fv))
+    found = _applied(op.name, arg_entries, terms, task, limits, prims,
+                     bool(fv), {} if table is None else table)
     if found is None:
         found = _evaluated(term, task, limits, prims, fv)
     outcomes, steps = found
@@ -593,32 +596,39 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
                       steps=steps)
 
 
-def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
-             rows: bool):
-    """(outcomes, steps) of applying `fn` to the argument entries, from
-    their stored outcomes, or None when the term must be evaluated in full.
+def _applied(name: str, arg_entries, terms, task: Task, limits: EvalLimits,
+             prims, rows: bool, table: dict):
+    """(outcomes, steps) of applying operation `name` to the argument
+    entries, from their stored outcomes, or None when the term must be
+    evaluated in full.
 
     The contexts are the examples, or example x battery row when `rows`.
     Each context's argument vector is one key: an argument's stored outcome
     in that context, or for a lifted lambda the context's example index,
     since its body may read task inputs.  The operation is applied once per
-    distinct key through invoke_prim, in an evaluator of its own when a
-    lambda or a learned operation takes steps, and the outcome is spread
-    back over the contexts with that key.
+    key not yet in `table[(name, lambdas)]`, where `lambdas` holds the
+    (index, weight) of each lambda argument in order, through invoke_prim,
+    in an evaluator of its own when a lambda or a learned operation takes
+    steps.  The table maps the key to (outcome, steps of the application),
+    and the outcome is spread back over the contexts with that key.  The
+    lambda entries must be store entries: the store replaces an improved
+    entry's term in place, and the new term only has to match the old one
+    on the battery, so the weight is part of the key.
 
     The outcomes are those of evaluating the term (eval_outcomes) because:
     - by build_entry's contract only a lambda argument depends on the
-      example;
+      example, and within one store a lambda's (index, weight) fixes its
+      term;
     - the first error among the arguments, in order, is the outcome; an
       argument or an application that runs out of steps on its own also
       does in the term;
     - otherwise a context takes one step for the Apply node, one per lambda
       argument, the steps of the other arguments and those of the
       application.  If the arguments' `steps` and the longest application
-      fit the limit together, no context runs out of steps; if they may
-      not, None."""
+      among this call's keys fit the limit together, no context runs out
+      of steps; if they may not, None."""
     examples = range(len(task.examples))
-    cols, lams = [], []
+    cols, lams, lam_ids = [], [], []
     lam_at = None  # position of the first lambda argument
     bound = 1  # steps before the application, in any context
     for (e, pty), t in zip(arg_entries, terms):
@@ -629,6 +639,7 @@ def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
                 lam_at = len(lams)
             cols.append(_spread(examples) if rows else examples)
             lams.append(t)
+            lam_ids.append((e.index, e.weight))
             bound += 1
             continue
         if e.outcomes is None or e.steps is None:
@@ -643,25 +654,24 @@ def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
             cols.append(e.outcomes)
     if bound > limits.max_steps:
         return None
-    longest = 0
+    fn = prims[name]
     if lam_at is None and type(fn) is not LearnedOp:
         # no evaluator needed: a primitive of base values takes no steps
         def apply(key):
             args = []
             for o in key:
                 if o[0] == "e":
-                    return o
+                    return o, 0
                 args.append(runtime_value(o))
             try:
-                return canon_value(invoke_prim(fn, args, limits, prims))
+                return canon_value(invoke_prim(fn, args, limits, prims)), 0
             except EvalError as err:
-                return ("e", err.kind)
+                return ("e", err.kind), 0
     else:
         def apply(key):
-            nonlocal longest
             for o, lam in zip(key, lams):
                 if lam is None and o[0] == "e":
-                    return o
+                    return o, 0
             i = 0 if lam_at is None else key[lam_at]
             ev = Evaluator(prims, task.examples[i][0], limits)
             args = [runtime_value(o) if lam is None else Closure(lam, [], ev)
@@ -670,24 +680,22 @@ def _applied(fn, arg_entries, terms, task: Task, limits: EvalLimits, prims,
                 o = canon_value(invoke_prim(fn, args, limits, prims, ev))
             except EvalError as err:
                 if err.kind == "steps":
-                    return ("e", "steps")
+                    return ("e", "steps"), 0
                 o = ("e", err.kind)
-            if ev.steps > longest:
-                longest = ev.steps
-            return o
+            return o, ev.steps
 
-    memo = {}
-    outs = []
-    for key in zip(*cols):
-        o = memo.get(key)
-        if o is None:
-            o = memo[key] = apply(key)
-        outs.append(o)
-    if bound + longest > limits.max_steps:
+    memo = table.setdefault((name, tuple(lam_ids)), {})
+    get = memo.get
+    # a hit is a non-empty tuple, so `or` applies only on a miss
+    hits = [get(key) or memo.setdefault(key, apply(key))
+            for key in zip(*cols)]
+    steps = bound + max(map(itemgetter(1), hits), default=0)
+    if steps > limits.max_steps:
         return None
+    outs = map(_tag, hits)
     if rows:
-        return tuple(zip(*[iter(outs)] * BATTERY_ROWS)), bound + longest
-    return tuple(outs), bound + longest
+        return tuple(zip(*[outs] * BATTERY_ROWS)), steps
+    return tuple(outs), steps
 
 
 def _spread(per_example):
@@ -726,6 +734,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     nondecreasing in weight, deduplicating by signature."""
     prims = lib.prims()
     store = init_store(task, lib, limits)
+    table: dict = {}  # build_entry's applications, for this store only
     solution = _first_solution(store, task)
     candidates = 0
     if solution is not None and stop_on_solve:
@@ -745,7 +754,8 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                                                 timed_out=True)
                     if not admissible(tup, store.allowed):
                         continue
-                    entry = build_entry(op, tup, task, limits, prims)
+                    entry = build_entry(op, tup, task, limits, prims,
+                                        table)
                     candidates += 1
                     canon, is_new, _ = store.add(entry)
                     if is_new and signature_solves(canon.signature, task):
@@ -773,6 +783,10 @@ class SearchConfig:
     restarts_enabled: bool = True
 
     def __post_init__(self):
+        if self.restart_interval <= 0:
+            # a restart would always be due, and a round that yields no
+            # tuple never ticks the clock
+            raise ValueError("restart_interval must be > 0")
         if self.restart_interval > self.per_task_timeout:
             raise ValueError("restart_interval must be <= per_task_timeout")
         if self.max_weight < 1:
@@ -823,6 +837,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     last_restart = 0.0
     rng = random.Random(cfg.random_seed)
     store = init_store(task, lib, cfg.eval_limits)
+    table: dict = {}  # build_entry's applications, for this store only
     solution = _first_solution(store, task)
     executed: Dict[str, set] = {op.name: set() for op in ops}
     samplers: Dict[str, UniqueSampler] = {}
@@ -891,7 +906,8 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             if key not in executed[op.name]:
                 executed[op.name].add(key)
                 if 1 + sum(e.weight for e, _ in tup) <= cfg.max_weight:
-                    entry = build_entry(op, tup, task, cfg.eval_limits, prims)
+                    entry = build_entry(op, tup, task, cfg.eval_limits,
+                                        prims, table)
                     candidates += 1
                     canon, is_new, improved = store.add(entry)
                     if is_new and solution is None and \
@@ -908,6 +924,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             last_restart = clock.now()
             rng = random.Random(cfg.random_seed + restarts)
             store = init_store(task, lib, cfg.eval_limits)
+            table = {}
             executed = {op.name: set() for op in ops}
             samplers.clear()
             seen = dict.fromkeys(executed, (0, 0))

@@ -294,6 +294,28 @@ def test_trace_episode_without_index_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_restart_interval_of_zero_exits_2(tasks_file, small_library,
+                                          capsys):
+    code = run_cli("solve", "--tasks", tasks_file, "--library", small_library,
+                   *FAST_FLAGS, "--restart-interval", "0")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: restart_interval must be > 0\n"
+
+
+@pytest.mark.parametrize("line", ["nosuchtask: (Reverse xs)",
+                                  "rev (Reverse xs)"])
+def test_malformed_solutions_line_exits_2(tmp_path, tasks_file, line,
+                                          capsys):
+    path = tmp_path / "solutions.txt"
+    path.write_text(f"rev: (Reverse xs)\n{line}\n")
+    code = run_cli("mine", "--tasks", tasks_file, "--solutions", str(path),
+                   "--output-dir", str(tmp_path / "out"), *FAST_FLAGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
+
+
 def test_installed_entry_point_runs():
     # the package the tests import, whether or not PYTHONPATH names it
     src = os.path.dirname(os.path.dirname(pbesynth.__file__))
