@@ -14,6 +14,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
+from operator import mul
 
 from .lang import (
     INT, BOOL, INT_LIST, Apply, Lam, PrimRef, EvalLimits, format_term,
@@ -29,7 +30,10 @@ FEATURE_DIM = 12
 def extract_features(op_name, prefix, candidate, ctx: ScoreContext):
     """Feature vector for scoring `candidate` at one argument position.
 
-    `prefix` holds the entries already chosen for earlier positions."""
+    `prefix` holds the entries already chosen for earlier positions.
+    Features 0-9 depend only on the candidate entry (its signature, type,
+    free placeholders and weight) and the task's outputs; 10 and 11 are
+    the choice features (_choice_features)."""
     sig = candidate.signature
     n = 0
     eq = contained = samelen = errs = 0
@@ -62,9 +66,17 @@ def extract_features(op_name, prefix, candidate, ctx: ScoreContext):
         contained * inv,
         samelen * inv,
         errs * inv,
-        1.0 if prefix and prefix[-1].index == candidate.index else 0.0,
-        min(ctx.position, 4) / 4.0,
-    ]
+    ] + _choice_features(prefix, candidate, ctx)
+
+
+ENTRY_FEATURES = 10  # features 0-9: of the entry and the task alone
+
+
+def _choice_features(prefix, candidate, ctx: ScoreContext):
+    """Features 10 and 11: is `prefix[-1]` the candidate, and the
+    position."""
+    return [1.0 if prefix and prefix[-1].index == candidate.index else 0.0,
+            min(ctx.position, 4) / 4.0]
 
 
 def _zeros():
@@ -81,7 +93,15 @@ class LinearScorer:
     function of the operation, `ctx.position`, the candidate entry and the
     task; the prefix enters only as feature 10, "is `prefix[-1]` this
     candidate?".  Argument selection caches scores on that basis, so the
-    parameters must not change while a search uses the scorer."""
+    parameters must not change while a search uses the scorer.
+
+    Features 0-9 do not depend on the operation or the position, so a
+    store keeps them once per entry: when `ctx.features` is a store's
+    feature memo (ValueStore.features), `score` reads them there under the
+    entry's (index, weight), and computes them with extract_features only
+    on a miss.  With `ctx.features` None every call extracts the features.
+    Either way the score is the same float: the same products, added in
+    the same order."""
 
     def __init__(self, per_op_parameters=None, training_report=None):
         self.per_op_parameters = dict(per_op_parameters or {})
@@ -91,8 +111,17 @@ class LinearScorer:
         w = self.per_op_parameters.get(op_name)
         if w is None:
             return 0.0
-        phi = extract_features(op_name, prefix, candidate, ctx)
-        return sum(a * b for a, b in zip(w, phi))
+        memo = ctx.features
+        if memo is None:
+            phi = extract_features(op_name, prefix, candidate, ctx)
+        else:
+            key = (candidate.index, candidate.weight)
+            phi = memo.get(key)
+            if phi is None:
+                phi = memo[key] = extract_features(
+                    op_name, (), candidate, ctx)[:ENTRY_FEATURES]
+            phi = phi + _choice_features(prefix, candidate, ctx)
+        return sum(map(mul, w, phi))
 
     def copy(self) -> "LinearScorer":
         return LinearScorer({k: list(v) for k, v in self.per_op_parameters.items()},
@@ -133,6 +162,12 @@ class TraceGenConfig:
     examples_per_episode: int = 3
     random_seed: int = 0
     eval_limits: EvalLimits = EvalLimits()
+
+    def __post_init__(self):
+        for name in ("episode_timeout", "per_abstraction_bonus"):
+            if math.isnan(getattr(self, name)):
+                # an episode's timeout would be NaN, and never reached
+                raise ValueError(f"{name} must be a number, not NaN")
 
     def effective_timeout(self, lib: DSLibrary) -> float:
         learned = sum(1 for op in lib.operations if op.is_learned)

@@ -241,6 +241,9 @@ class ValueStore:
         self._scorer = None
         self._scores: Dict[tuple, float] = {}
         self._rankings: Dict[tuple, _Ranking] = {}
+        # a scorer's per-entry features, keyed by (entry index, entry
+        # weight); any scorer may fill it (see ScoreContext.features)
+        self.features: Dict[tuple, list] = {}
 
     def __len__(self):
         return len(self.by_sig)
@@ -303,60 +306,66 @@ class ValueStore:
         return out
 
     def score_cache(self, scorer) -> Dict[tuple, float]:
-        """The scores `scorer` gave this store's entries, keyed by (op name,
-        position, entry index, entry weight, is-last-choice); see
-        beam_select_args.  A different scorer starts an empty cache, and
-        empty rankings."""
+        """The scores `scorer` gave this store's entries as the last choice
+        (last_choice_score), keyed by (op name, position, entry index, entry
+        weight); the rankings hold the other scores.  A different scorer
+        starts an empty cache, and empty rankings."""
         if scorer is not self._scorer:
             self._scorer = scorer
             self._scores = {}
             self._rankings = {}
         return self._scores
 
-    def cached_score(self, scorer, name: str, position: int,
-                     entry: ValueEntry, ctx: "ScoreContext",
-                     chosen=None) -> float:
-        """`scorer`'s score for `entry` at `position` of operation `name`,
-        through the score cache.  `chosen` is None for an entry scored as
-        not the last choice, which the scorer sees with an empty prefix;
-        otherwise it holds the (entry, type) pairs chosen so far, ending in
-        `entry`, and the prefix is built from it only on a miss."""
+    def last_choice_score(self, scorer, name: str, position: int, chosen,
+                          ctx: "ScoreContext") -> float:
+        """`scorer`'s score at `position` of operation `name` for the entry
+        chosen last, `chosen` being the (entry, type) pairs chosen so far,
+        through the score cache: the prefix is built only on a miss."""
         cache = self._scores if scorer is self._scorer \
             else self.score_cache(scorer)
-        k = (name, position, entry.index, entry.weight, chosen is not None)
+        entry = chosen[-1][0]
+        k = (name, position, entry.index, entry.weight)
         s = cache.get(k)
         if s is None:
-            prefix = () if chosen is None else tuple(e for e, _ in chosen)
-            s = cache[k] = scorer.score(name, prefix, entry, ctx)
+            s = cache[k] = scorer.score(name, tuple(e for e, _ in chosen),
+                                        entry, ctx)
         return s
 
     def ranking(self, scorer, name: str, position: int, cands,
                 ctx: "ScoreContext") -> "_Ranking":
         """`cands`, the candidates of operation `name` at `position`, as
         (-score, weight, index, entry) tuples in ascending order, each scored
-        as not the last choice.  The ranking is kept between calls: entries
-        new to `cands` are inserted, and entries `add` improved since are
-        re-keyed, since their weight is part of the score key."""
+        once, as not the last choice (an empty prefix).  The ranking is kept
+        between calls: entries new to `cands` are inserted, and entries
+        `add` improved since are re-scored, since the weight is a feature.
+        Either drops the ranking's sampling distribution (see
+        _sampler_dists)."""
         self.score_cache(scorer)
         r = self._rankings.get((name, position))
         if r is None or r.cands is not cands:
             r = self._rankings[(name, position)] = _Ranking(cands)
         order, keys = r.order, r.keys
+        seen = r.seen
+        score = scorer.score
 
         def insert(e):
-            s = self.cached_score(scorer, name, position, e, ctx)
-            keys[e.index] = item = (-s, e.weight, e.index, e)
+            keys[e.index] = item = (-score(name, (), e, ctx), e.weight,
+                                    e.index, e)
             insort(order, item)
 
-        for i in self.improved[r.logged:]:
+        # an entry improved twice since the last call is re-scored once
+        for i in dict.fromkeys(self.improved[r.logged:]):
             old = keys.get(i)
             if old is not None:
                 del order[bisect_left(order, old)]
                 insert(old[3])
+                r.dist = None
         r.logged = len(self.improved)
-        for e in cands[r.seen:]:
-            insert(e)
-        r.seen = len(cands)
+        if len(cands) > seen:
+            for e in cands[seen:]:
+                insert(e)
+            r.seen = len(cands)
+            r.dist = None
         return r
 
 
@@ -367,7 +376,8 @@ def _entry_index(e: ValueEntry) -> int:
 class _Ranking:
     """ValueStore.ranking's state for one (operation, position)."""
 
-    __slots__ = ("cands", "seen", "logged", "order", "keys")
+    __slots__ = ("cands", "seen", "logged", "order", "keys", "pairs",
+                 "dist")
 
     def __init__(self, cands):
         self.cands = cands  # the shared candidates_for list it follows
@@ -375,14 +385,25 @@ class _Ranking:
         self.logged = 0  # how much of ValueStore.improved is applied
         self.order: List[tuple] = []
         self.keys: Dict[int, tuple] = {}  # entry index -> its tuple in order
+        self.pairs: List[tuple] = []  # (entry, parameter type) per candidate
+        # _sampler_dists's distribution over `cands`, None when stale
+        self.dist: Optional[list] = None
 
 
-def arg_term(entry: ValueEntry, pty: Ty) -> Term:
-    """The term actually placed at an argument position of type `pty`."""
-    if isinstance(pty, Arrow) and entry.ty != pty:
-        names = arrow_placeholder_names(pty)
-        return bind_input_vars(entry.term, names)
-    return entry.term
+def arg_term(entry: ValueEntry, pty: Ty, table: dict) -> Term:
+    """The term actually placed at an argument position of type `pty`.
+
+    A lifted lambda is kept in build_entry's `table` under the entry's
+    (index, weight) and `pty`: within one store those fix the term, as in
+    _applied."""
+    if not isinstance(pty, Arrow) or entry.ty == pty:
+        return entry.term
+    key = (entry.index, entry.weight, pty)
+    lam = table.get(key)
+    if lam is None:
+        lam = table[key] = bind_input_vars(entry.term,
+                                           arrow_placeholder_names(pty))
+    return lam
 
 
 def arg_free_vars(tup) -> set:
@@ -432,13 +453,19 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
 @dataclass
 class ScoreContext:
     """What a scorer sees of an argument position besides the operation
-    and the candidate: the position and the task's outputs."""
+    and the candidate: the position and the task's outputs.  `features` is
+    the feature memo of the store the candidates come from
+    (ValueStore.features), where a scorer may keep what it computes from
+    an entry and the task alone under the entry's (index, weight); None
+    outside a store."""
     position: int
     output_sig: tuple  # Task.output_sig
+    features: Optional[dict] = None
 
 
-def make_context(task: Task, position: int) -> ScoreContext:
-    return ScoreContext(position, task.output_sig)
+def make_context(task: Task, position: int,
+                 features: Optional[dict] = None) -> ScoreContext:
+    return ScoreContext(position, task.output_sig, features)
 
 
 class UniformScorer:
@@ -449,7 +476,9 @@ class UniformScorer:
     signature, type, free placeholders and weight) and the task, and it
     sees the chosen `prefix` only as "is `prefix[-1]` this candidate?".
     Argument selection relies on this to score each pair once per store
-    (ValueStore.cached_score)."""
+    (ValueStore.ranking and last_choice_score).  A store serves one task,
+    so a scorer may keep what depends only on an entry and the task in the
+    store's feature memo (ScoreContext.features)."""
 
     def score(self, op_name, prefix, candidate, ctx) -> float:
         return 0.0
@@ -464,18 +493,21 @@ def beam_select_args(op: Operation, store: ValueStore, scorer,
     Ties break by (lower total weight, earlier insertion order).
 
     By the scorer contract (see UniformScorer) a score depends on the
-    prefix only through "is `prefix[-1]` this entry?", so scores are cached
-    in the store under (op name, position, entry index, entry weight,
-    is-last-choice).  The weight is part of the key because ValueStore.add
-    lowers it in place.  Each cached value is the float the scorer
-    returned, so the tuples are exactly those of scoring every prefix."""
+    prefix only through "is `prefix[-1]` this entry?", so the store keeps
+    each entry's score at a position twice at most: with an empty prefix
+    in the position's ranking, and as the last choice in its score cache
+    under (op name, position, entry index, entry weight).  The weight is
+    part of the key because ValueStore.add lowers it in place.  Each kept
+    value is the float the scorer returned, so the tuples are exactly
+    those of scoring every prefix."""
     params = op.signature.params
     per_position = []
     for j, pty in enumerate(params):
         cands = store.candidates_for(pty)
         if not cands:
             return []
-        per_position.append((pty, cands, make_context(task, j)))
+        per_position.append((pty, cands,
+                             make_context(task, j, store.features)))
     return [entries
             for entries in _beam(op.name, per_position, store, scorer,
                                  beam_size)
@@ -504,7 +536,7 @@ def _beam(name, per_position, store, scorer, beam_size):
                                                       score, beam_size):
                 scored.append((-total, wsum + w, key, i, b, e))
             if last is not None and last.index in ranking.keys:
-                s = store.cached_score(scorer, name, j, last, ctx, entries)
+                s = store.last_choice_score(scorer, name, j, entries, ctx)
                 scored.append((-(score + s), wsum + last.weight, key,
                                last.index, b, last))
         beams = [(beams[b][0] + ((e, pty),), -neg, w, key + (i,))
@@ -561,20 +593,23 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
     applying the operation once per distinct argument vector over the
     contexts (see _applied).  `table` records those applications; a search
     passes one table for as long as it keeps its store, so an application
-    made for an earlier candidate is not made again.  Without a table the
-    applications are shared within this call only.  The table relies on a
-    contract: a primitive is a pure function of its argument values, and a
-    learned operation's body is closed.  Each application runs on a fresh
-    step budget and the table keeps the steps it took, so the outcomes are
-    those plain evaluation gives the term, step errors included.  Where the
-    arguments and the application might run out of steps together, and for
-    an arrow-typed result or an argument with no stored outcomes (a
-    concrete function value), the term is evaluated in full; an arrow-typed
-    result is then probed on the battery."""
+    made for an earlier candidate is not made again, nor a lambda lifted
+    again (arg_term).  Without a table they are shared within this call
+    only.  The table relies on a contract: a primitive is a pure function
+    of its argument values, and a learned operation's body is closed.  Each
+    application runs on a fresh step budget and the table keeps the steps
+    it took, so the outcomes are those plain evaluation gives the term,
+    step errors included.  Where the arguments and the application might
+    run out of steps together, and for an arrow-typed result or an argument
+    with no stored outcomes (a concrete function value), the term is
+    evaluated in full; an arrow-typed result is then probed on the
+    battery."""
+    if table is None:
+        table = {}
     terms = []
     weight = 1
     for e, pty in arg_entries:
-        terms.append(arg_term(e, pty))
+        terms.append(arg_term(e, pty, table))
         weight += e.weight
     term = Apply(PrimRef(op.name), tuple(terms))
     ret = op.signature.ret
@@ -586,7 +621,7 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
         return ValueEntry(term, weight, ret, sig, free_vars=fv,
                           provenance=provenance)
     found = _applied(op.name, arg_entries, terms, task, limits, prims,
-                     bool(fv), {} if table is None else table)
+                     bool(fv), table)
     if found is None:
         found = _evaluated(term, task, limits, prims, fv)
     outcomes, steps = found
@@ -783,6 +818,10 @@ class SearchConfig:
     restarts_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("per_task_timeout", "restart_interval"):
+            if math.isnan(getattr(self, name)):
+                # every comparison with NaN is false: no budget would end
+                raise ValueError(f"{name} must be a number, not NaN")
         if self.restart_interval <= 0:
             # a restart would always be due, and a round that yields no
             # tuple never ticks the clock
@@ -988,18 +1027,25 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
     """Per position, a softmax over the scores of its candidates with an
-    empty prefix, read through the store's score cache (see
-    beam_select_args)."""
+    empty prefix, as the position's ranking holds them (ValueStore.ranking).
+    A ranking keeps its distribution until the ranking changes, so a
+    position whose candidates and their weights are as they were reuses
+    the list it gave last time; callers must not mutate it."""
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty)
         if not cands:
             return None
-        ctx = make_context(task, j)
-        scores = [store.cached_score(scorer, op.name, j, e, ctx)
-                  for e in cands]
-        m = max(scores)
-        weights = [math.exp(s - m) for s in scores]
-        total = sum(weights)
-        dists.append([((e, pty), w / total) for e, w in zip(cands, weights)])
+        r = store.ranking(scorer, op.name, j, cands,
+                          make_context(task, j, store.features))
+        if r.dist is None:
+            pairs = r.pairs
+            pairs += [(e, pty) for e in cands[len(pairs):]]
+            keys = r.keys
+            scores = [-keys[e.index][0] for e in cands]
+            m = max(scores)
+            weights = [math.exp(s - m) for s in scores]
+            total = sum(weights)
+            r.dist = [(pair, w / total) for pair, w in zip(pairs, weights)]
+        dists.append(r.dist)
     return dists

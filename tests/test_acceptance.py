@@ -405,6 +405,7 @@ def rigged_loop(tmp_path_factory):
 # 4. Every mined abstraction rewrites without changing semantics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_rewrites_preserve_semantics_end_to_end(rigged_loop):
     outdir, result, _ = rigged_loop
     by_name = {t.name: t for t in MICRO_TASKS}
@@ -506,6 +507,7 @@ def test_unique_sampler_exhaustion_and_first_draw_distribution():
 # 7. Wake-sleep improvement on the rigged motif domain
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_wake_sleep_improves_on_motif_domain(rigged_loop):
     outdir, result, elapsed = rigged_loop
     assert elapsed <= 900.0
@@ -593,6 +595,7 @@ def _one_det_run(outdir):
     return emit_plot_data(rep_a, rep_b, os.path.join(outdir, "plots"))
 
 
+@pytest.mark.slow
 def test_same_seed_loop_runs_are_byte_identical(tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")

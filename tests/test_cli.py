@@ -303,6 +303,17 @@ def test_restart_interval_of_zero_exits_2(tasks_file, small_library,
         "error: restart_interval must be > 0\n"
 
 
+@pytest.mark.parametrize("flag", ["--per-task-timeout", "--restart-interval",
+                                  "--episode-timeout"])
+def test_nan_budget_exits_2(tasks_file, small_library, flag, capsys):
+    code = run_cli("solve", "--tasks", tasks_file, "--library", small_library,
+                   *FAST_FLAGS, flag, "nan")
+    assert code == 2
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == \
+        f"error: {field} must be a number, not NaN\n"
+
+
 @pytest.mark.parametrize("line", ["nosuchtask: (Reverse xs)",
                                   "rev (Reverse xs)"])
 def test_malformed_solutions_line_exits_2(tmp_path, tasks_file, line,

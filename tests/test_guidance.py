@@ -104,6 +104,14 @@ SMALL_TRACE_CFG = TraceGenConfig(episode_timeout=20.0, per_abstraction_bonus=0,
                                  random_seed=7)
 
 
+@pytest.mark.parametrize("field", ["episode_timeout",
+                                   "per_abstraction_bonus"])
+def test_trace_gen_config_rejects_nan_budgets(field):
+    # every comparison with NaN is false, so a NaN timeout never ran out
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        TraceGenConfig(**{field: float("nan")})
+
+
 def test_generate_traces_produces_episodes_and_steps():
     lib = sub_dsl("Add", "Subtract", "Head", "Reverse")
     data = generate_traces(lib, SMALL_TRACE_CFG)

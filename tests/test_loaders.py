@@ -1,9 +1,11 @@
 """Artifact loaders against malformed files: every line-level mutation of a
 valid file either loads or raises one of the errors the command line
-reports with exit 2 or 3, never another exception."""
+reports with exit 2 or 3, never another exception; and the command line
+reports a rejected file in one line."""
 
 import pytest
 
+from pbesynth.cli import ConfigError, build_run_config, main, read_config_file
 from pbesynth.dsl import (
     DSLibrary, LearnedAbstraction, Operation, abstraction_func,
     default_list_dsl, load_library, save_library,
@@ -92,7 +94,31 @@ def _load_solutions(path, tmp_path):
     return load_solutions(path, SMALL, by_name)
 
 
+CONFIG_TEXT = """\
+# a run configuration
+iterations = 2
+workers = 1
+per_task_timeout = 0.5
+restart_interval = 0.25
+beam_size = 4
+max_weight = 5
+virtual_clock = true
+max_eval_steps = 500
+episode_timeout = 2.5
+tracegen_max_weight = 3
+prune = no
+output_dir = runs/a
+"""
+
+
+def _config_file(path):
+    with open(path, "w") as fh:
+        fh.write(CONFIG_TEXT)
+
+
 LOADERS = {
+    "config": (_config_file,
+               lambda path, _: build_run_config(read_config_file(path))),
     "library": (_library_file, lambda path, _: load_library(path)),
     "scorer": (_scorer_file, lambda path, _: load_scorer(path)),
     "traces": (_traces_file, lambda path, _: load_traces(path)),
@@ -114,8 +140,62 @@ def test_mutated_artifact_loads_or_raises_a_reported_error(kind, tmp_path):
             fh.write("\n".join(mutated))
         try:
             load(path, tmp_path)
-        except (LangError, ValueError, TaskFormatError):
+        except (ConfigError, LangError, ValueError, TaskFormatError):
             pass
         except Exception as e:  # noqa: BLE001 - the failure under test
             pytest.fail(f"{kind} file, {what}: {type(e).__name__}: {e}\n"
                         + "\n".join(mutated))
+
+
+def _first_rejected(kind, tmp_path):
+    """The path of `kind`'s file holding the first of its mutations that
+    its loader rejects."""
+    write, load = LOADERS[kind]
+    path = str(tmp_path / f"{kind}.txt")
+    write(path)
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    for _what, mutated in _mutations(lines):
+        with open(path, "w") as fh:
+            fh.write("\n".join(mutated))
+        try:
+            load(path, tmp_path)
+        except (ConfigError, LangError, ValueError, TaskFormatError):
+            return path
+    raise AssertionError(f"every mutation of the {kind} file loads")
+
+
+# the command reading each kind of file, given that file and valid others
+COMMANDS = {
+    "config": lambda bad, ok: ["solve", "--tasks", ok["tasks"],
+                               "--config", bad],
+    "library": lambda bad, ok: ["solve", "--tasks", ok["tasks"],
+                                "--library", bad],
+    "scorer": lambda bad, ok: ["solve", "--tasks", ok["tasks"],
+                               "--scorer", bad],
+    "tasks": lambda bad, ok: ["solve", "--tasks", bad],
+    "traces": lambda bad, ok: ["train", "--traces", bad],
+    "solutions": lambda bad, ok: ["mine", "--tasks", ok["tasks"],
+                                  "--library", ok["library"],
+                                  "--solutions", bad],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMMANDS))
+def test_command_reports_a_rejected_file_in_one_line(kind, tmp_path,
+                                                     capsys):
+    bad = _first_rejected(kind, tmp_path)
+    ok = {"tasks": str(tmp_path / "ok_tasks.txt"),
+          "library": str(tmp_path / "ok_library.txt")}
+    with open(ok["tasks"], "w") as fh:
+        # the tasks the solutions file names
+        fh.write(TASKS_TEXT)
+    save_library(SMALL, ok["library"])
+    capsys.readouterr()
+    code = main(COMMANDS[kind](bad, ok) + [
+        "--output-dir", str(tmp_path / "out"), "--virtual-clock", "true",
+        "--per-task-timeout", "0.05", "--restart-interval", "0.05"])
+    err = capsys.readouterr().err
+    assert code in (2, 3), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err

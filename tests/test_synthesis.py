@@ -15,12 +15,14 @@ from pbesynth.dsl import (
     DSLibrary, LearnedAbstraction, Operation, abstraction_func,
     default_list_dsl, load_library,
 )
+import pbesynth.guidance
 from pbesynth.guidance import (
-    FEATURE_DIM, LinearScorer, TraceGenConfig, generate_traces, train_scorer,
+    FEATURE_DIM, LinearScorer, TraceGenConfig, extract_features,
+    generate_traces, train_scorer,
 )
 from pbesynth.lang import (
-    INT, INT_LIST, Arrow, ConstInt, EvalError, EvalLimits, format_term,
-    invoke_prim, parse_term, parse_type, term_size,
+    INT, INT_LIST, Arrow, ConstInt, EvalError, EvalLimits, bind_input_vars,
+    format_term, invoke_prim, parse_term, parse_type, term_size,
 )
 from pbesynth.synthesis import (
     SearchConfig, UniformScorer, ValueEntry, ValueStore, _evaluated,
@@ -339,6 +341,13 @@ def test_search_config_rejects_a_restart_interval_of_zero_or_less(interval):
         SearchConfig(restart_interval=interval, virtual_clock=True)
 
 
+@pytest.mark.parametrize("field", ["per_task_timeout", "restart_interval"])
+def test_search_config_rejects_nan_budgets(field):
+    # every comparison with NaN is false, so a NaN budget never ran out
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        SearchConfig(**{field: float("nan")})
+
+
 def test_search_solves_trivial_task_from_store_seed():
     lib = sub_dsl("Reverse")
     task = simple_task([((1, 2), [1, 2])])
@@ -539,16 +548,23 @@ def test_application_table_follows_an_improved_lambda():
 
 def test_application_table_pins_primitive_calls(monkeypatch):
     """One table per search applies each operation once per distinct
-    argument vector in that search: the call counts were recorded when
-    the table came in (before it, 20,483 and 30,466 calls), and the
-    candidate counts are unchanged."""
-    calls = []
+    argument vector in that search, and lifts each lambda once per (index,
+    weight, parameter type): the counts were recorded when the table came
+    in (before it, 20,483 and 30,466 primitive calls) and when it took the
+    lifts (before, 1,061 and 241 lifts), and the candidate counts are
+    unchanged."""
+    calls, lifts = [], []
 
     def counting(*args):
         calls.append(args[0])
         return invoke_prim(*args)
 
+    def lifting(term, names):
+        lifts.append(term)
+        return bind_input_vars(term, names)
+
     monkeypatch.setattr(pbesynth.synthesis, "invoke_prim", counting)
+    monkeypatch.setattr(pbesynth.synthesis, "bind_input_vars", lifting)
     task = next(t for t in load_tasks(os.path.join(
         os.path.dirname(pbesynth.__file__), "data", "micro_tasks.txt"))
         if t.name == "motif_00")
@@ -556,10 +572,12 @@ def test_application_table_pins_primitive_calls(monkeypatch):
                        beam_size=None, max_weight=5, virtual_clock=True,
                        restarts_enabled=False)
     r = search(task, MICRO_LIB, UniformScorer(), cfg)
-    assert (r.solved, r.candidates_evaluated, len(calls)) == (True, 2146, 2099)
+    assert (r.solved, r.candidates_evaluated, len(calls), len(lifts)) == \
+        (True, 2146, 2099, 40)
     calls.clear()
+    lifts.clear()
     ex = exhaustive_search(task, MICRO_LIB, max_weight=4, stop_on_solve=False)
-    assert (ex.candidates, len(calls)) == (3383, 2499)
+    assert (ex.candidates, len(calls), len(lifts)) == (3383, 2499, 31)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +634,14 @@ DIFF_LIB = sub_dsl("Add", "Subtract", "Head", "Take", "IsEven", "Map",
                    "Filter", "ZipWith")
 
 
-def _grow(store, data, max_steps=25):
-    """Grow a store for TASK by a drawn sequence of operation applications,
+def _grow(store, data, max_steps=25, ops=DIFF_LIB.operations):
+    """Grow a store for TASK by a drawn sequence of applications of `ops`,
     so it holds concrete values, lambda bodies and errors."""
     prims = DIFF_LIB.prims()
+    if not ops:
+        return store
     for _ in range(data.draw(st.integers(0, max_steps))):
-        op = data.draw(st.sampled_from(DIFF_LIB.operations))
+        op = data.draw(st.sampled_from(ops))
         tup = []
         for pty in op.signature.params:
             cands = store.candidates_for(pty)
@@ -773,11 +793,122 @@ def test_incremental_candidates_match_fresh_filter(data):
                     sorted(e.index for e in got)
 
 
+def _plain_score(scorer, name, prefix, entry, position):
+    """LinearScorer.score without a feature memo, as a dot product."""
+    w = scorer.per_op_parameters[name]
+    phi = extract_features(name, prefix, entry, make_context(TASK, position))
+    return sum(a * b for a, b in zip(w, phi))
+
+
+def _kept_scores(store, scorer):
+    """(op name, position, entry, is-last-choice, score) for every score
+    `store` keeps for `scorer` under an entry's current weight: those of
+    the rankings and those of the last-choice cache."""
+    out = []
+    for op in DIFF_LIB.operations:
+        for j, pty in enumerate(op.signature.params):
+            cands = store.candidates_for(pty)
+            r = store.ranking(scorer, op.name, j, cands,
+                              make_context(TASK, j, store.features))
+            out += [(op.name, j, e, False, -neg)
+                    for neg, _, _, e in r.order]
+    for (name, j, i, w), s in store.score_cache(scorer).items():
+        if store.entries[i].weight == w:
+            out.append((name, j, store.entries[i], True, s))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memoized_scores_equal_plain_feature_products(data):
+    """Every score argument selection keeps, computed through a store's
+    feature memo, is bit for bit the dot product of freshly extracted
+    features; over grow and improve rounds, and with two stores of one
+    task whose entries share indices, as after a restart."""
+    scorer = _scorers(data)
+    stores = [init_store(TASK, DIFF_LIB, LIMITS) for _ in range(2)]
+    for _round in range(data.draw(st.integers(1, 3))):
+        for store in stores:
+            _grow(store, data, max_steps=10)
+            for _ in range(data.draw(st.integers(0, 2))):
+                _improve(store, data)
+        for op in DIFF_LIB.operations:
+            for store in stores:
+                beam_select_args(op, store, scorer, 3, TASK)
+                _sampler_dists(op, store, scorer, TASK)
+        for store in stores:
+            for name, j, e, last, got in _kept_scores(store, scorer):
+                if name not in scorer.per_op_parameters:
+                    assert got == 0.0
+                    continue
+                want = _plain_score(scorer, name, (e,) if last else (), e, j)
+                assert got.hex() == want.hex(), (name, j, e.index, last)
+            for (i, w), phi in store.features.items():
+                e = store.entries[i]
+                if e.weight == w:
+                    assert phi == extract_features(
+                        "Add", (), e, make_context(TASK, 0))[:10]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reused_sampler_dists_equal_reference(data):
+    """A position whose candidates and their weights are as they were
+    gets the distribution list it got last time, and every distribution,
+    reused or rebuilt, is exactly the reference's.  Each round grows the
+    store through a drawn subset of the operations, so only the positions
+    of some types gain candidates."""
+    store = init_store(TASK, DIFF_LIB, LIMITS)
+    scorer = _scorers(data)
+    last = {}
+    for _round in range(data.draw(st.integers(2, 5))):
+        ops = data.draw(st.lists(st.sampled_from(DIFF_LIB.operations),
+                                 max_size=2, unique_by=lambda o: o.name))
+        _grow(store, data, max_steps=6, ops=ops)
+        if data.draw(st.booleans()):
+            _improve(store, data)
+        for op in DIFF_LIB.operations:
+            dists = _sampler_dists(op, store, scorer, TASK)
+            assert _dist_ids(dists) == \
+                _dist_ids(reference_sampler_dists(op, store, scorer, TASK))
+            for j, pty in enumerate(op.signature.params if dists else ()):
+                state = [(e.index, e.weight)
+                         for e in store.candidates_for(pty)]
+                before = last.get((op.name, j))
+                if before is not None and before[0] == state:
+                    assert dists[j] is before[1]
+                last[(op.name, j)] = (state, dists[j])
+
+
+def test_guided_search_extracts_features_once_per_scored_entry(monkeypatch):
+    """With a trained scorer, a search extracts the features of each
+    (index, weight) it scores once, however many operations, positions
+    and prefixes score it: 159 calls, where every score used to extract
+    them (775 calls)."""
+    scorer = train_scorer(generate_traces(
+        FULL, TraceGenConfig(max_weight=2, episodes=2)))
+    extracted = []
+
+    def counting(op_name, prefix, candidate, ctx):
+        extracted.append((candidate.index, candidate.weight))
+        return extract_features(op_name, prefix, candidate, ctx)
+
+    monkeypatch.setattr(pbesynth.guidance, "extract_features", counting)
+    task = next(t for t in load_tasks(os.path.join(
+        os.path.dirname(pbesynth.__file__), "data", "tasks.txt"))
+        if t.name == "succ_all")
+    cfg = SearchConfig(per_task_timeout=0.3, restart_interval=0.3,
+                       beam_size=10, max_weight=8, virtual_clock=True)
+    r = search(task, FULL, scorer, cfg)
+    assert (r.solved, r.candidates_evaluated, r.restarts) == (False, 300, 0)
+    assert len(extracted) == len(set(extracted)) == 159
+
+
 def test_score_cache_belongs_to_one_scorer():
     store = init_store(TASK, DIFF_LIB, LIMITS)
     a, b = LinearScorer({}), LinearScorer({})
-    store.score_cache(a)[("Add", 0, 0, 1, False)] = 1.0
-    assert store.score_cache(a) == {("Add", 0, 0, 1, False): 1.0}
+    store.score_cache(a)[("Add", 0, 0, 1)] = 1.0
+    assert store.score_cache(a) == {("Add", 0, 0, 1): 1.0}
     assert store.score_cache(b) == {}
 
 
