@@ -168,6 +168,11 @@ class TraceGenConfig:
             if math.isnan(getattr(self, name)):
                 # an episode's timeout would be NaN, and never reached
                 raise ValueError(f"{name} must be a number, not NaN")
+        for name, least in (("max_weight", 1), ("episodes", 0),
+                            ("targets_per_episode", 0), ("max_negatives", 0),
+                            ("examples_per_episode", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def effective_timeout(self, lib: DSLibrary) -> float:
         learned = sum(1 for op in lib.operations if op.is_learned)

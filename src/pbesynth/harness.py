@@ -46,6 +46,8 @@ class RunConfig:
             raise ValueError("iterations must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.train_steps < 0:
+            raise ValueError("train_steps must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,18 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 # Types
 # ---------------------------------------------------------------------------
 
+# Types key the value store and the search's tables, so each caches the
+# hash a frozen dataclass would compute on every lookup.
+
 @dataclass(frozen=True)
 class BaseTy:
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return self.name
@@ -37,6 +46,10 @@ class Arrow:
     def __post_init__(self):
         if len(self.params) < 1:
             raise ValueError("Arrow needs at least one parameter")
+        object.__setattr__(self, "_hash", hash((self.params, self.ret)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(p) for p in self.params)

@@ -168,6 +168,10 @@ def sig_from_outcomes(term: Term, outcomes,
     placeholders are tagged "f", other arrow-typed terms "c", the rest
     "v"."""
     arrow = isinstance(ty, Arrow)
+    free_vars = tuple(sorted(free_vars))
+    sig = _plain_sig(outcomes, free_vars, "c" if arrow else "v")
+    if sig is not None:
+        return sig
 
     def c(o, opaque):
         if o[0] != "fn":
@@ -175,15 +179,23 @@ def sig_from_outcomes(term: Term, outcomes,
         return _probe_closure(o[1], ty, term) if arrow else opaque
 
     if free_vars:
+        return ("f", free_vars, tuple(tuple(c(o, ("opaque",)) for o in row)
+                                      for row in outcomes))
+    # the opaque fallback names the term
+    opaque = None if arrow else ("opaque", format_term(term))
+    return ("c" if arrow else "v", tuple(c(o, opaque) for o in outcomes))
+
+
+def _plain_sig(outcomes, free_vars: Tuple[str, ...], kind: str):
+    """sig_from_outcomes's signature, `kind` being "c" or "v", when no
+    outcome is a function value, else None.  `free_vars` must be sorted."""
+    if free_vars:
         if "fn" in map(_tag, chain.from_iterable(outcomes)):
-            outcomes = tuple(tuple(c(o, ("opaque",)) for o in row)
-                             for row in outcomes)
-        return ("f", tuple(sorted(free_vars)), outcomes)
+            return None
+        return ("f", free_vars, outcomes)
     if "fn" in map(_tag, outcomes):
-        # the opaque fallback names the term
-        opaque = None if arrow else ("opaque", format_term(term))
-        outcomes = tuple(c(o, opaque) for o in outcomes)
-    return ("c" if arrow else "v", outcomes)
+        return None
+    return (kind, outcomes)
 
 
 def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
@@ -209,7 +221,7 @@ class ValueEntry:
     weight: int
     ty: Ty
     signature: tuple
-    free_vars: Tuple[str, ...] = ()
+    free_vars: Tuple[str, ...] = ()  # sorted
     index: int = -1
     provenance: Optional[tuple] = None  # (op_name, (entry_idx, ...))
     outcomes: Optional[tuple] = None  # per-context outcomes, see eval_outcomes
@@ -256,6 +268,11 @@ class ValueStore:
 
         Duplicate-signature entries are never appended, so `entries` holds
         exactly the live canonical entries, in insertion order."""
+        if 0 <= entry.index < len(self.entries) and \
+                self.entries[entry.index] is entry:
+            # this store's entry for its signature, which build_entry
+            # returns for a duplicate
+            return entry, False, False
         old = self.by_sig.get(entry.signature)
         if old is None:
             entry.index = len(self.entries)
@@ -406,21 +423,20 @@ def arg_term(entry: ValueEntry, pty: Ty, table: dict) -> Term:
     return lam
 
 
-def arg_free_vars(tup) -> set:
-    """Free placeholders of an argument tuple of (entry, parameter type)
-    pairs.  A lifted lambda binds its body's placeholders, so only
-    non-arrow arguments contribute."""
+def admissible(tup, allowed_sets) -> bool:
+    """Whether the free placeholders of an argument tuple of (entry,
+    parameter type) pairs all fit one allowed set.  A lifted lambda binds
+    its body's placeholders, so only non-arrow arguments contribute."""
     free = set()
     for e, pty in tup:
-        if not isinstance(pty, Arrow):
+        if e.free_vars and not isinstance(pty, Arrow):
             free.update(e.free_vars)
-    return free
-
-
-def admissible(tup, allowed_sets) -> bool:
-    """Whether the tuple's free placeholders all fit one allowed set."""
-    free = arg_free_vars(tup)
-    return not free or any(free <= s for s in allowed_sets)
+    if not free:
+        return True
+    for s in allowed_sets:
+        if free <= s:
+            return True
+    return False
 
 
 def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
@@ -585,55 +601,103 @@ def _contenders(order, last, score, beam_size):
 # Executing one candidate tuple
 # ---------------------------------------------------------------------------
 
+class _Plan:
+    """What build_entry needs of one operation, the same for every
+    candidate of a search; its table keeps one under the operation's
+    name."""
+
+    __slots__ = ("ref", "fn", "learned", "arrows", "ret", "arrow_ret",
+                 "memos")
+
+    def __init__(self, op: Operation, prims):
+        self.ref = PrimRef(op.name)
+        self.fn = prims[op.name]
+        self.learned = type(self.fn) is LearnedOp
+        self.arrows = tuple(isinstance(p, Arrow) for p in op.signature.params)
+        self.ret = op.signature.ret
+        self.arrow_ret = isinstance(self.ret, Arrow)
+        # _applied's applications, per tuple of the lambda arguments'
+        # (index, weight)
+        self.memos: Dict[tuple, dict] = {}
+
+
 def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
-                prims, table: Optional[dict] = None) -> ValueEntry:
+                prims, table: Optional[dict] = None,
+                store: Optional[ValueStore] = None) -> ValueEntry:
     """Construct (and semantically fingerprint) the value for op(args).
 
     A base-typed result is computed from the arguments' stored outcomes,
     applying the operation once per distinct argument vector over the
-    contexts (see _applied).  `table` records those applications; a search
-    passes one table for as long as it keeps its store, so an application
-    made for an earlier candidate is not made again, nor a lambda lifted
-    again (arg_term).  Without a table they are shared within this call
-    only.  The table relies on a contract: a primitive is a pure function
-    of its argument values, and a learned operation's body is closed.  Each
-    application runs on a fresh step budget and the table keeps the steps
-    it took, so the outcomes are those plain evaluation gives the term,
-    step errors included.  Where the arguments and the application might
-    run out of steps together, and for an arrow-typed result or an argument
-    with no stored outcomes (a concrete function value), the term is
-    evaluated in full; an arrow-typed result is then probed on the
-    battery."""
+    contexts (see _applied).  `table` records those applications, and the
+    operation's _Plan; a search passes one table for as long as it keeps
+    its store, so an application made for an earlier candidate is not made
+    again, nor a lambda lifted again (arg_term).  Without a table they are
+    shared within this call only.  The table relies on a contract: a
+    primitive is a pure function of its argument values, and a learned
+    operation's body is closed.  Each application runs on a fresh step
+    budget and the table keeps the steps it took, so the outcomes are
+    those plain evaluation gives the term, step errors included.  Where the
+    arguments and the application might run out of steps together, and for
+    an arrow-typed result or an argument with no stored outcomes (a
+    concrete function value), the term is evaluated in full; an arrow-typed
+    result is then probed on the battery.
+
+    `store` is the store the entry is for.  A base-typed result none of
+    whose outcomes is a function value gets its signature before its term:
+    if `store` already holds that signature at the candidate's weight or
+    less, store.add would keep the stored entry and drop the candidate, so
+    the stored entry is returned and no term or entry is built.
+    store.add(stored entry) gives (stored entry, False, False), as
+    store.add(candidate) would."""
     if table is None:
         table = {}
-    terms = []
+    plan = table.get(op.name)
+    if plan is None:
+        plan = table[op.name] = _Plan(op, prims)
     weight = 1
-    for e, pty in arg_entries:
-        terms.append(arg_term(e, pty, table))
+    fv = ()
+    for (e, _pty), arrow in zip(arg_entries, plan.arrows):
         weight += e.weight
-    term = Apply(PrimRef(op.name), tuple(terms))
-    ret = op.signature.ret
-    fv = tuple(sorted(arg_free_vars(arg_entries)))
-    provenance = (op.name, tuple(e.index for e, _ in arg_entries))
-    if isinstance(ret, Arrow):
+        # a lifted lambda binds its body's placeholders (see admissible)
+        if e.free_vars and not arrow and e.free_vars != fv:
+            fv = tuple(sorted(set(fv).union(e.free_vars))) if fv \
+                else e.free_vars
+    ret = plan.ret
+    term = outcomes = steps = None
+    if plan.arrow_ret:
         # no stored outcomes: they would keep closures in the store
+        term = _term(plan, arg_entries, table)
         sig = compute_signature(term, task, limits, prims, fv, ret)
-        return ValueEntry(term, weight, ret, sig, free_vars=fv,
-                          provenance=provenance)
-    found = _applied(op.name, arg_entries, terms, task, limits, prims,
-                     bool(fv), table)
-    if found is None:
-        found = _evaluated(term, task, limits, prims, fv)
-    outcomes, steps = found
-    return ValueEntry(term, weight, ret,
-                      sig_from_outcomes(term, outcomes, fv, ret),
-                      free_vars=fv, provenance=provenance, outcomes=outcomes,
-                      steps=steps)
+    else:
+        found = _applied(plan, arg_entries, task, limits, prims, bool(fv),
+                         table)
+        if found is None:
+            term = _term(plan, arg_entries, table)
+            found = _evaluated(term, task, limits, prims, fv)
+        outcomes, steps = found
+        sig = _plain_sig(outcomes, fv, "v")
+        if sig is not None and store is not None:
+            old = store.by_sig.get(sig)
+            if old is not None and old.weight <= weight:
+                return old
+        if term is None:
+            term = _term(plan, arg_entries, table)
+        if sig is None:
+            sig = sig_from_outcomes(term, outcomes, fv, ret)
+    return ValueEntry(term, weight, ret, sig, free_vars=fv,
+                      provenance=(op.name,
+                                  tuple(e.index for e, _ in arg_entries)),
+                      outcomes=outcomes, steps=steps)
 
 
-def _applied(name: str, arg_entries, terms, task: Task, limits: EvalLimits,
+def _term(plan: _Plan, arg_entries, table: dict) -> Apply:
+    return Apply(plan.ref, tuple([arg_term(e, pty, table)
+                                  for e, pty in arg_entries]))
+
+
+def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
              prims, rows: bool, table: dict):
-    """(outcomes, steps) of applying operation `name` to the argument
+    """(outcomes, steps) of applying the planned operation to the argument
     entries, from their stored outcomes, or None when the term must be
     evaluated in full.
 
@@ -641,14 +705,21 @@ def _applied(name: str, arg_entries, terms, task: Task, limits: EvalLimits,
     Each context's argument vector is one key: an argument's stored outcome
     in that context, or for a lifted lambda the context's example index,
     since its body may read task inputs.  The operation is applied once per
-    key not yet in `table[(name, lambdas)]`, where `lambdas` holds the
+    key not yet in `plan.memos[lambdas]`, where `lambdas` holds the
     (index, weight) of each lambda argument in order, through invoke_prim,
     in an evaluator of its own when a lambda or a learned operation takes
-    steps.  The table maps the key to (outcome, steps of the application),
-    and the outcome is spread back over the contexts with that key.  The
-    lambda entries must be store entries: the store replaces an improved
-    entry's term in place, and the new term only has to match the old one
-    on the battery, so the weight is part of the key.
+    steps.  The memo maps the key to (outcome, steps of the application),
+    or, for a primitive applied to base values only, which takes no steps,
+    to the outcome; the outcome is spread back over the contexts with that
+    key.  The lambda entries must be store entries: the store replaces an
+    improved entry's term in place, and the new term only has to match the
+    old one on the battery, so the weight is part of the key.
+
+    If every argument has the same outcomes (or rows) in each example as in
+    example 0, every context's key is that of the same context of example
+    0, so the operation is applied over example 0's contexts only and their
+    result stands for every example.  A lambda argument's keys are the
+    example indices, which differ.
 
     The outcomes are those of evaluating the term (eval_outcomes) because:
     - by build_entry's contract only a lambda argument depends on the
@@ -662,46 +733,53 @@ def _applied(name: str, arg_entries, terms, task: Task, limits: EvalLimits,
       application.  If the arguments' `steps` and the longest application
       among this call's keys fit the limit together, no context runs out
       of steps; if they may not, None."""
-    examples = range(len(task.examples))
-    cols, lams, lam_ids = [], [], []
+    n = len(task.examples)
+    # per argument: its outcome (or rows) in each example, or for a lambda
+    # the example indices
+    per, lams, lam_ids = [], [], []
     lam_at = None  # position of the first lambda argument
     bound = 1  # steps before the application, in any context
-    for (e, pty), t in zip(arg_entries, terms):
-        if isinstance(pty, Arrow):
+    for (e, pty), arrow in zip(arg_entries, plan.arrows):
+        if arrow:
             if e.ty == pty:
                 return None  # a concrete function value
             if lam_at is None:
                 lam_at = len(lams)
-            cols.append(_spread(examples) if rows else examples)
-            lams.append(t)
+            per.append(range(n))
+            lams.append(arg_term(e, pty, table))
             lam_ids.append((e.index, e.weight))
             bound += 1
             continue
         if e.outcomes is None or e.steps is None:
             return None
+        per.append(e.outcomes)
         lams.append(None)
         bound += e.steps
-        if e.free_vars:
-            cols.append(chain.from_iterable(e.outcomes))
-        elif rows:
-            cols.append(_spread(e.outcomes))
-        else:
-            cols.append(e.outcomes)
     if bound > limits.max_steps:
         return None
-    fn = prims[name]
-    if lam_at is None and type(fn) is not LearnedOp:
+    invariant = n > 1 and all(p.count(p[0]) == n for p in per)
+    if invariant:
+        per = [p[:1] for p in per]
+    if rows:
+        cols = [chain.from_iterable(p) if lam is None and e.free_vars
+                else _spread(p)
+                for p, (e, _), lam in zip(per, arg_entries, lams)]
+    else:
+        cols = per
+    fn = plan.fn
+    bare = lam_at is None and not plan.learned
+    if bare:
         # no evaluator needed: a primitive of base values takes no steps
         def apply(key):
             args = []
             for o in key:
                 if o[0] == "e":
-                    return o, 0
+                    return o
                 args.append(runtime_value(o))
             try:
-                return canon_value(invoke_prim(fn, args, limits, prims)), 0
+                return canon_value(invoke_prim(fn, args, limits, prims))
             except EvalError as err:
-                return ("e", err.kind), 0
+                return ("e", err.kind)
     else:
         def apply(key):
             for o, lam in zip(key, lams):
@@ -719,18 +797,23 @@ def _applied(name: str, arg_entries, terms, task: Task, limits: EvalLimits,
                 o = ("e", err.kind)
             return o, ev.steps
 
-    memo = table.setdefault((name, tuple(lam_ids)), {})
+    lam_ids = tuple(lam_ids)
+    memo = plan.memos.get(lam_ids)
+    if memo is None:
+        memo = plan.memos[lam_ids] = {}
     get = memo.get
     # a hit is a non-empty tuple, so `or` applies only on a miss
     hits = [get(key) or memo.setdefault(key, apply(key))
             for key in zip(*cols)]
-    steps = bound + max(map(itemgetter(1), hits), default=0)
-    if steps > limits.max_steps:
-        return None
-    outs = map(_tag, hits)
-    if rows:
-        return tuple(zip(*[outs] * BATTERY_ROWS)), steps
-    return tuple(outs), steps
+    if bare:
+        steps, outs = bound, hits
+    else:
+        steps = bound + max(map(itemgetter(1), hits), default=0)
+        if steps > limits.max_steps:
+            return None
+        outs = map(_tag, hits)
+    outs = tuple(zip(*[iter(outs)] * BATTERY_ROWS)) if rows else tuple(outs)
+    return (outs * n if invariant else outs), steps
 
 
 def _spread(per_example):
@@ -776,11 +859,20 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
         return ExhaustiveResult(store, solution, candidates)
     start = time.monotonic()
     for w in range(1, max_weight + 1):
+        # (entry, type) pairs per parameter type and entry weight.  A
+        # candidate of this level weighs w, and add lowers an entry's weight
+        # only to w, so the buckets of weights below w, the ones this level
+        # reads, stay as they are until the next.
+        buckets: Dict[Ty, Dict[int, list]] = {}
         for op in lib.operations:
             params = op.signature.params
+            for pty in params:
+                if pty not in buckets:
+                    by_weight = buckets[pty] = {}
+                    for e in store.candidates_for(pty):
+                        by_weight.setdefault(e.weight, []).append((e, pty))
             for split in _partitions(w - 1, len(params)):
-                lists = [[(e, pty) for e in store.candidates_for(pty)
-                          if e.weight == pw]
+                lists = [buckets[pty].get(pw, ())
                          for pty, pw in zip(params, split)]
                 for tup in product(*lists):
                     if timeout is not None and \
@@ -790,7 +882,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                     if not admissible(tup, store.allowed):
                         continue
                     entry = build_entry(op, tup, task, limits, prims,
-                                        table)
+                                        table, store)
                     candidates += 1
                     canon, is_new, _ = store.add(entry)
                     if is_new and signature_solves(canon.signature, task):
@@ -830,6 +922,10 @@ class SearchConfig:
             raise ValueError("restart_interval must be <= per_task_timeout")
         if self.max_weight < 1:
             raise ValueError("max_weight must be >= 1")
+        if self.beam_size is not None and self.beam_size < 1:
+            # an empty beam stalls, and a sampling round draws nothing, so
+            # the search would end at once (None is the unbounded search)
+            raise ValueError("beam_size must be >= 1")
 
 
 @dataclass
@@ -853,8 +949,10 @@ class _Clock:
         self.ticks = 0
         self.start = time.monotonic()
 
-    def tick(self):
+    def tick(self) -> float:
+        """Count one candidate; returns now()."""
         self.ticks += 1
+        return self.now()
 
     def now(self) -> float:
         if self.virtual:
@@ -888,7 +986,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     def tuple_key(tup):
         # the parameter's type and the entry's fix how the entry is placed,
         # so (index, weight) pairs identify the term within one operation
-        return tuple((e.index, e.weight) for e, _ in tup)
+        return tuple([(e.index, e.weight) for e, _ in tup])
 
     def finished():
         return (solution is not None and cfg.stop_on_solve) or \
@@ -940,20 +1038,26 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         the clock.  Returns whether any added or improved an entry."""
         nonlocal candidates, solution
         progress = False
+        # finished() and restart_due() on the tick's reading of the clock
+        interval = cfg.restart_interval \
+            if until_restart and cfg.restarts_enabled else math.inf
         for op, tup, key in tuples:
-            clock.tick()
-            if key not in executed[op.name]:
-                executed[op.name].add(key)
+            now = clock.tick()
+            done = executed[op.name]
+            if key not in done:
+                done.add(key)
                 if 1 + sum(e.weight for e, _ in tup) <= cfg.max_weight:
                     entry = build_entry(op, tup, task, cfg.eval_limits,
-                                        prims, table)
+                                        prims, table, store)
                     candidates += 1
                     canon, is_new, improved = store.add(entry)
                     if is_new and solution is None and \
                             signature_solves(canon.signature, task):
                         solution = canon
                     progress = progress or is_new or improved
-            if finished() or (until_restart and restart_due()):
+            if (solution is not None and cfg.stop_on_solve) or \
+                    now >= cfg.per_task_timeout or \
+                    now - last_restart >= interval:
                 break
         return progress
 
@@ -1010,16 +1114,17 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
     allowed = store.allowed
 
     def rec(j, acc, wsum, fresh):
-        if j == k:
-            if fresh and admissible(acc, allowed):
-                yield tuple(acc)
-            return
-        for e, pty in lists[j]:
+        last = j == k - 1
+        for pair in lists[j]:
+            e = pair[0]
             if wsum + e.weight > budget:
                 break
-            acc.append((e, pty))
-            yield from rec(j + 1, acc, wsum + e.weight,
-                           fresh or e.index >= seen or e.index in improved)
+            acc.append(pair)
+            now_fresh = fresh or e.index >= seen or e.index in improved
+            if not last:
+                yield from rec(j + 1, acc, wsum + e.weight, now_fresh)
+            elif now_fresh and admissible(acc, allowed):
+                yield tuple(acc)
             acc.pop()
 
     return rec(0, [], 0, False)

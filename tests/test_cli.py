@@ -314,6 +314,33 @@ def test_nan_budget_exits_2(tasks_file, small_library, flag, capsys):
         f"error: {field} must be a number, not NaN\n"
 
 
+def test_beam_size_of_zero_exits_2(tasks_file, small_library, capsys):
+    # it used to print "no solution" after 0 candidates and exit 0
+    code = run_cli("solve", "--tasks", tasks_file, "--library", small_library,
+                   *FAST_FLAGS, "--beam-size", "0")
+    assert code == 2
+    assert capsys.readouterr().err == "error: beam_size must be >= 1\n"
+
+
+@pytest.mark.parametrize("flag,value,field,least", [
+    ("--max-negatives", "-1", "max_negatives", 0),
+    ("--examples-per-episode", "0", "examples_per_episode", 1),
+    ("--episodes", "-2", "episodes", 0),
+    ("--targets-per-episode", "-1", "targets_per_episode", 0),
+    ("--tracegen-max-weight", "0", "max_weight", 1),
+    ("--train-steps", "-5", "train_steps", 0)])
+def test_trace_and_training_count_below_its_least_exits_2(
+        tmp_path, tasks_file, small_library, flag, value, field, least,
+        capsys):
+    code = run_cli("loop", "--tasks", tasks_file, "--library", small_library,
+                   "--output-dir", str(tmp_path / "out"), *FAST_FLAGS,
+                   "--iterations", "1", flag, value)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: {field} must be >= {least}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["nosuchtask: (Reverse xs)",
                                   "rev (Reverse xs)"])
 def test_malformed_solutions_line_exits_2(tmp_path, tasks_file, line,

@@ -112,6 +112,17 @@ def test_trace_gen_config_rejects_nan_budgets(field):
         TraceGenConfig(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("field,value,least", [
+    ("max_weight", 0, 1), ("episodes", -2, 0), ("targets_per_episode", -1, 0),
+    ("max_negatives", -1, 0), ("examples_per_episode", 0, 1)])
+def test_trace_gen_config_rejects_counts_below_their_least(field, value,
+                                                            least):
+    # each used to end in a sampling or task error, or in no traces
+    with pytest.raises(ValueError, match=f"^{field} must be >= {least}$"):
+        TraceGenConfig(**{field: value})
+    TraceGenConfig(**{field: least})
+
+
 def test_generate_traces_produces_episodes_and_steps():
     lib = sub_dsl("Add", "Subtract", "Head", "Reverse")
     data = generate_traces(lib, SMALL_TRACE_CFG)

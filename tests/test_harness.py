@@ -66,6 +66,9 @@ def test_run_config_validation():
         RunConfig(iterations=0)
     with pytest.raises(ValueError):
         RunConfig(trials=0)
+    with pytest.raises(ValueError, match="train_steps must be >= 0"):
+        RunConfig(train_steps=-5)
+    assert RunConfig(train_steps=0).train_steps == 0
 
 
 # ---------------------------------------------------------------------------

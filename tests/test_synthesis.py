@@ -341,6 +341,16 @@ def test_search_config_rejects_a_restart_interval_of_zero_or_less(interval):
         SearchConfig(restart_interval=interval, virtual_clock=True)
 
 
+@pytest.mark.parametrize("beam_size", [0, -3])
+def test_search_config_rejects_a_beam_size_below_one(beam_size):
+    # an empty beam stalls and a sampling round draws nothing, so the
+    # search would give up at once
+    with pytest.raises(ValueError, match="beam_size must be >= 1"):
+        SearchConfig(beam_size=beam_size)
+    assert SearchConfig(beam_size=None).beam_size is None  # unbounded
+    assert SearchConfig(beam_size=1).beam_size == 1
+
+
 @pytest.mark.parametrize("field", ["per_task_timeout", "restart_interval"])
 def test_search_config_rejects_nan_budgets(field):
     # every comparison with NaN is false, so a NaN budget never ran out
@@ -508,6 +518,118 @@ def test_cached_build_entry_matches_plain_evaluation(data):
             for pty in op.signature.params)
         if admissible(tup, store.allowed):
             build(op.name, *(e for e, _ in tup))
+
+
+def _store_state(store):
+    return ([(format_term(e.term), e.weight, e.ty, e.signature, e.free_vars,
+              e.index, e.provenance, e.outcomes, e.steps)
+             for e in store.entries], store.improved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_probed_store_matches_a_store_fed_full_entries(data):
+    """build_entry given the store returns the stored entry for a duplicate
+    at an equal or higher weight, and builds no term or entry for it.  Fed
+    to store.add, every candidate must give the (entry, is_new, improved)
+    triple a store fed full entries gives, and the two stores must end the
+    same."""
+    lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
+    limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
+    task = data.draw(_repeating_tasks())
+    prims = lib.prims()
+    probed, ref = init_store(task, lib, limits), init_store(task, lib, limits)
+    tables = {}, {}
+    names = set(lib.op_names())
+
+    def entry(text):
+        t = parse_term(text, names)
+        fv = ("%0i",) if "%0i" in text else ()
+        return probed.get(compute_signature(t, task, limits, prims, fv))
+
+    def build(name, *args):
+        op = lib.op(name)
+        tup = tuple(zip(args, op.signature.params))
+        twin = tuple((ref.entries[e.index], pty) for e, pty in tup)
+        got = build_entry(op, tup, task, limits, prims, tables[0], probed)
+        full = build_entry(op, twin, task, limits, prims, tables[1])
+        if got.index < 0:  # built in full
+            assert got.outcomes == eval_outcomes(got.term, task, limits,
+                                                 prims, got.free_vars)
+        else:  # a duplicate, at the stored weight or more
+            assert probed.entries[got.index] is got
+            assert got.signature == full.signature
+            assert got.weight <= full.weight
+        canon, is_new, improved = probed.add(got)
+        want = ref.add(full)
+        assert (canon.index, is_new, improved) == \
+            (want[0].index, want[1], want[2])
+        return canon
+
+    ph, xs, ys = entry("%0i"), entry("xs"), entry("ys")
+    one, two = entry("1"), entry("2")
+    # x + 2 at weight 4, then at a lower (2), an equal (2) and a higher (4)
+    # weight; x + 1 + 1 takes 5 steps, so under fewer only their errors
+    # agree
+    heavy = build("Add", build("Add", ph, one), one)
+    light = build("Add", ph, two)
+    assert build("Add", two, ph) is light
+    again = build("Add", build("Add", ph, one), one)
+    if limits.max_steps >= 5:
+        assert light is heavy is again and heavy.weight == 2
+    # lambda bodies over `ys`, which is the same in every example
+    bodies = [heavy, build("Add", ph, build("Head", xs))]
+    if lib is LEARNED_LIB:
+        bodies.append(build("fn_1", ph))
+    for body in bodies:
+        build("Map", body, ys)
+        if lib is LEARNED_LIB:
+            build("fn_2", body, ys)
+    for _round in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(0, 25))):
+            op = data.draw(st.sampled_from(lib.operations))
+            tup = tuple((data.draw(st.sampled_from(
+                probed.candidates_for(pty))), pty)
+                for pty in op.signature.params)
+            if admissible(tup, probed.allowed):
+                build(op.name, *(e for e, _ in tup))
+        assert _store_state(probed) == _store_state(ref)
+
+
+def test_search_builds_entries_only_for_new_or_improved_values(monkeypatch):
+    """A search builds a ValueEntry only for a seed, a new entry or an
+    improvement: each duplicate at an equal or higher weight is found by
+    its signature first."""
+    built, adds = [], []
+    real_add = ValueStore.add
+
+    def entry(*args, **kwargs):
+        built.append(args[0])
+        return ValueEntry(*args, **kwargs)
+
+    def add(store, e):
+        out = real_add(store, e)
+        adds.append(out[1] or out[2])
+        return out
+
+    monkeypatch.setattr(pbesynth.synthesis, "ValueEntry", entry)
+    monkeypatch.setattr(ValueStore, "add", add)
+    task = next(t for t in load_tasks(os.path.join(
+        os.path.dirname(pbesynth.__file__), "data", "micro_tasks.txt"))
+        if t.name == "motif_00")
+    seeds = len(init_store(task, MICRO_LIB, LIMITS).entries)
+    built.clear()
+    adds.clear()
+    cfg = SearchConfig(per_task_timeout=3.5, restart_interval=3.5,
+                       beam_size=None, max_weight=5, virtual_clock=True,
+                       restarts_enabled=False)
+    r = search(task, MICRO_LIB, UniformScorer(), cfg)
+    assert len(adds) == seeds + r.candidates_evaluated
+    assert len(built) == seeds + sum(adds[seeds:])
+    # 10 seeds and 823 new or improved entries; without the signature
+    # probe each of the 2,146 candidates built one
+    assert (r.solved, r.candidates_evaluated, seeds, len(built)) == \
+        (True, 2146, 10, 833)
 
 
 def test_application_table_follows_an_improved_lambda():
