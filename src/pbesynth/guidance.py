@@ -243,18 +243,14 @@ def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
             (_random_inputs(decls, rng), 0)
             for _ in range(cfg.examples_per_episode))
         probe = Task(f"episode-{ep}", decls, examples)
-        result = exhaustive_search(probe, lib, cfg.max_weight,
-                                   timeout=per_episode,
-                                   limits=cfg.eval_limits,
-                                   stop_on_solve=False)
-        store = result.store
+        store = exhaustive_search(probe, lib, cfg.max_weight,
+                                  timeout=per_episode,
+                                  limits=cfg.eval_limits,
+                                  stop_on_solve=False).store
         built = [e for e in store.entries
                  if e.provenance is not None and _sig_outputs(e) is not None]
-        if not built:
-            continue
         rng.shuffle(built)
-        targets = built[:cfg.targets_per_episode]
-        for target in targets:
+        for target in built[:cfg.targets_per_episode]:
             outs = _sig_outputs(target)
             task = Task(f"trace-{len(data.episodes)}", decls,
                         tuple((inp, out) for (inp, _), out
@@ -265,6 +261,8 @@ def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
                 TraceEpisode(ep_idx, task, format_term(target.term)))
             _emit_steps(data, ep_idx, target, store, lib, task, rng,
                         cfg.max_negatives)
+        # one store at a time: the next episode's search builds its own
+        del store, built
     return data
 
 

@@ -72,9 +72,15 @@ def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
              workers: int = 1) -> WakeReport:
     """Solve each task independently, and check each solution under the
     search's limits.  Results are collected in task order, so the report
-    does not depend on scheduling."""
+    does not depend on scheduling.  Each result is kept without its store,
+    which is dropped as soon as its solution is checked."""
     def solve_one(task):
-        return search(task, lib, scorer, cfg)
+        r = search(task, lib, scorer, cfg)
+        if r.solved and not verify_solution(task, r.program, lib,
+                                            cfg.eval_limits):
+            raise RuntimeError(
+                f"search reported a bad solution for task {task.name!r}")
+        return replace(r, store=None)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -82,11 +88,6 @@ def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
     else:
         results = [solve_one(t) for t in tasks]
     pairs = list(zip(tasks, results))
-    for task, r in pairs:
-        if r.solved and not verify_solution(task, r.program, lib,
-                                            cfg.eval_limits):
-            raise RuntimeError(
-                f"search reported a bad solution for task {task.name!r}")
     return WakeReport(pairs, sum(1 for _, r in pairs if r.solved), len(pairs))
 
 

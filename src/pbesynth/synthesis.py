@@ -17,15 +17,16 @@ import math
 import random
 import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from itertools import chain, product, repeat
+from dataclasses import dataclass, field
+from itertools import chain, islice, product, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .lang import (
     INT, BOOL, INT_LIST, Arrow, Ty, Term, Apply, InputVar, PrimRef, Closure,
     EvalError, EvalLimits, Evaluator, LearnedOp, bind_input_vars,
-    canon_value, evaluate, format_term, invoke_prim, runtime_value, term_size,
+    canon_value, evaluate, format_term, free_input_vars, invoke_prim,
+    runtime_value, term_size,
 )
 from .dsl import DSLibrary, Operation
 from .sampling import UniqueSampler
@@ -228,6 +229,22 @@ class ValueEntry:
     # at least the steps `term` takes in any context whose evaluation does
     # not run out of steps; None if unknown
     steps: Optional[int] = None
+    # `outcomes` as ids of the store's intern table (ValueStore.intern),
+    # flattened over the contexts, when the term is base-typed and no
+    # outcome is a function value; None otherwise
+    ids: Optional[tuple] = None
+    # whether every example's ids are those of example 0; and `ids` with
+    # each repeated once per battery row (see _applied, which fills it)
+    invariant: bool = field(default=False, init=False, repr=False,
+                            compare=False)
+    spread: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def __post_init__(self):
+        ids = self.ids
+        if ids is not None:
+            k = BATTERY_ROWS if self.free_vars else 1
+            self.invariant = ids[:k] * (len(ids) // k) == ids
 
     @property
     def is_lambda(self) -> bool:
@@ -240,11 +257,23 @@ class ValueStore:
     index of every entry it improves in `improved`.
 
     `allowed` lists the placeholder sets usable together in one term: those
-    of the library the store searches (lib_placeholders)."""
+    of the library the store searches (lib_placeholders).
+
+    The store also owns build_entry's state for its entries: an intern
+    table giving every outcome met a small int id, the index `by_ids` of
+    entries with ids under (free_vars, ids), and the build table of a _Plan
+    per operation name and lifted lambdas (arg_term).  Ids, and so the
+    plans' memos, mean something only against this store's table."""
 
     def __init__(self, allowed=()):
         self.allowed = list(allowed)
         self.by_sig: Dict[tuple, ValueEntry] = {}
+        self.by_ids: Dict[tuple, ValueEntry] = {}
+        self.interned: Dict[tuple, int] = {}  # outcome -> id
+        self.values: List[tuple] = []  # id -> outcome
+        self.plans: Dict[str, _Plan] = {}
+        # (entry index, entry weight, parameter type) -> (lambda, closed)
+        self.lifts: Dict[tuple, tuple] = {}
         self.entries: List[ValueEntry] = []  # insertion order; index == position
         self.by_ty: Dict[Ty, List[ValueEntry]] = {}
         self.improved: List[int] = []  # indices add() improved, in order
@@ -263,6 +292,33 @@ class ValueStore:
     def get(self, sig):
         return self.by_sig.get(sig)
 
+    def intern(self, outcome) -> int:
+        """The id of `outcome` in this store's intern table."""
+        values = self.values
+        i = self.interned.setdefault(outcome, len(values))
+        if i == len(values):
+            values.append(outcome)
+        return i
+
+    def ids_of(self, outcomes, free_vars) -> tuple:
+        """The ids of per-context outcomes (see eval_outcomes), flattened
+        over the contexts."""
+        if free_vars:
+            outcomes = chain.from_iterable(outcomes)
+        return tuple(map(self.intern, outcomes))
+
+    def outcomes_of(self, ids, free_vars) -> tuple:
+        """Inverse of ids_of.  Rows that are the same in every example are
+        one tuple."""
+        outs = tuple(map(self.values.__getitem__, ids))
+        if not free_vars:
+            return outs
+        n = len(outs) // BATTERY_ROWS
+        row = outs[:BATTERY_ROWS]
+        if row * n == outs:
+            return (row,) * n
+        return tuple(zip(*[iter(outs)] * BATTERY_ROWS))
+
     def add(self, entry: ValueEntry):
         """Insert or improve.  Returns (canonical_entry, is_new, improved).
 
@@ -273,12 +329,13 @@ class ValueStore:
             # this store's entry for its signature, which build_entry
             # returns for a duplicate
             return entry, False, False
-        old = self.by_sig.get(entry.signature)
-        if old is None:
+        old = self.by_sig.setdefault(entry.signature, entry)
+        if old is entry:
             entry.index = len(self.entries)
             self.entries.append(entry)
-            self.by_sig[entry.signature] = entry
             self.by_ty.setdefault(entry.ty, []).append(entry)
+            if entry.ids is not None:
+                self.by_ids[(entry.free_vars, entry.ids)] = entry
             return entry, True, False
         if entry.weight < old.weight:
             old.term = entry.term
@@ -354,9 +411,7 @@ class ValueStore:
         (-score, weight, index, entry) tuples in ascending order, each scored
         once, as not the last choice (an empty prefix).  The ranking is kept
         between calls: entries new to `cands` are inserted, and entries
-        `add` improved since are re-scored, since the weight is a feature.
-        Either drops the ranking's sampling distribution (see
-        _sampler_dists)."""
+        `add` improved since are re-scored, since the weight is a feature."""
         self.score_cache(scorer)
         r = self._rankings.get((name, position))
         if r is None or r.cands is not cands:
@@ -376,13 +431,11 @@ class ValueStore:
             if old is not None:
                 del order[bisect_left(order, old)]
                 insert(old[3])
-                r.dist = None
         r.logged = len(self.improved)
         if len(cands) > seen:
             for e in cands[seen:]:
                 insert(e)
             r.seen = len(cands)
-            r.dist = None
         return r
 
 
@@ -393,8 +446,7 @@ def _entry_index(e: ValueEntry) -> int:
 class _Ranking:
     """ValueStore.ranking's state for one (operation, position)."""
 
-    __slots__ = ("cands", "seen", "logged", "order", "keys", "pairs",
-                 "dist")
+    __slots__ = ("cands", "seen", "logged", "order", "keys")
 
     def __init__(self, cands):
         self.cands = cands  # the shared candidates_for list it follows
@@ -402,25 +454,26 @@ class _Ranking:
         self.logged = 0  # how much of ValueStore.improved is applied
         self.order: List[tuple] = []
         self.keys: Dict[int, tuple] = {}  # entry index -> its tuple in order
-        self.pairs: List[tuple] = []  # (entry, parameter type) per candidate
-        # _sampler_dists's distribution over `cands`, None when stale
-        self.dist: Optional[list] = None
 
 
-def arg_term(entry: ValueEntry, pty: Ty, table: dict) -> Term:
-    """The term actually placed at an argument position of type `pty`.
-
-    A lifted lambda is kept in build_entry's `table` under the entry's
-    (index, weight) and `pty`: within one store those fix the term, as in
-    _applied."""
+def arg_term(entry: ValueEntry, pty: Ty, store: ValueStore) -> Term:
+    """The term actually placed at an argument position of type `pty`."""
     if not isinstance(pty, Arrow) or entry.ty == pty:
         return entry.term
+    return _lifted(entry, pty, store)[0]
+
+
+def _lifted(entry: ValueEntry, pty: Arrow, store: ValueStore):
+    """(lambda, closed): the store entry `entry`, a body, lifted to a lambda
+    of type `pty`, and whether the lambda reads no task input.  It is kept
+    in `store.lifts` under the entry's (index, weight) and `pty`: within one
+    store those fix the term, as in _applied."""
     key = (entry.index, entry.weight, pty)
-    lam = table.get(key)
-    if lam is None:
-        lam = table[key] = bind_input_vars(entry.term,
-                                           arrow_placeholder_names(pty))
-    return lam
+    lifted = store.lifts.get(key)
+    if lifted is None:
+        lam = bind_input_vars(entry.term, arrow_placeholder_names(pty))
+        lifted = store.lifts[key] = (lam, not free_input_vars(lam))
+    return lifted
 
 
 def admissible(tup, allowed_sets) -> bool:
@@ -448,9 +501,13 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
 
     def seed(t, weight, ty, free_vars=()):
         outs, steps = _evaluated(t, task, limits, prims, free_vars)
+        plain = not isinstance(ty, Arrow) and \
+            _plain_sig(outs, free_vars, "v") is not None
         store.add(ValueEntry(t, weight, ty,
                              sig_from_outcomes(t, outs, free_vars, ty),
-                             free_vars=free_vars, outcomes=outs, steps=steps))
+                             free_vars=free_vars, outcomes=outs, steps=steps,
+                             ids=store.ids_of(outs, free_vars) if plain
+                             else None))
 
     for name, ty in task.input_types:
         t = InputVar(name)
@@ -603,8 +660,8 @@ def _contenders(order, last, score, beam_size):
 
 class _Plan:
     """What build_entry needs of one operation, the same for every
-    candidate of a search; its table keeps one under the operation's
-    name."""
+    candidate of a store; the store keeps one under the operation's name
+    (ValueStore.plans)."""
 
     __slots__ = ("ref", "fn", "learned", "arrows", "ret", "arrow_ret",
                  "memos")
@@ -622,38 +679,36 @@ class _Plan:
 
 
 def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
-                prims, table: Optional[dict] = None,
-                store: Optional[ValueStore] = None) -> ValueEntry:
-    """Construct (and semantically fingerprint) the value for op(args).
+                prims, store: ValueStore) -> ValueEntry:
+    """Construct (and semantically fingerprint) the value for op(args), an
+    entry for `store`, whose entries the arguments must be or have been
+    built for.
 
-    A base-typed result is computed from the arguments' stored outcomes,
-    applying the operation once per distinct argument vector over the
-    contexts (see _applied).  `table` records those applications, and the
-    operation's _Plan; a search passes one table for as long as it keeps
-    its store, so an application made for an earlier candidate is not made
-    again, nor a lambda lifted again (arg_term).  Without a table they are
-    shared within this call only.  The table relies on a contract: a
-    primitive is a pure function of its argument values, and a learned
-    operation's body is closed.  Each application runs on a fresh step
-    budget and the table keeps the steps it took, so the outcomes are
+    A base-typed result is computed from the arguments' ids, applying the
+    operation once per distinct argument vector over the contexts (see
+    _applied).  The store's plans record those applications, so within
+    one store an application made for an earlier candidate is not made
+    again, nor a lambda lifted again (arg_term).  This relies on a
+    contract: a primitive is a pure function of its argument values, and a
+    learned operation's body is closed.  Each application runs on a fresh
+    step budget and the memo keeps the steps it took, so the outcomes are
     those plain evaluation gives the term, step errors included.  Where the
     arguments and the application might run out of steps together, and for
-    an arrow-typed result or an argument with no stored outcomes (a
-    concrete function value), the term is evaluated in full; an arrow-typed
-    result is then probed on the battery.
+    an arrow-typed result or an argument with no ids (a concrete function
+    value), the term is evaluated in full; an arrow-typed result is then
+    probed on the battery.
 
-    `store` is the store the entry is for.  A base-typed result none of
-    whose outcomes is a function value gets its signature before its term:
-    if `store` already holds that signature at the candidate's weight or
-    less, store.add would keep the stored entry and drop the candidate, so
-    the stored entry is returned and no term or entry is built.
+    A base-typed result none of whose outcomes is a function value is
+    looked up by its ids in `store.by_ids` before its outcomes are decoded
+    or its term built: ids stand for outcomes one to one, so this finds
+    the entry store.by_sig holds under the result's signature.  If that
+    entry weighs no more than the candidate, store.add would keep it and
+    drop the candidate, so it is returned and no entry is built.
     store.add(stored entry) gives (stored entry, False, False), as
     store.add(candidate) would."""
-    if table is None:
-        table = {}
-    plan = table.get(op.name)
+    plan = store.plans.get(op.name)
     if plan is None:
-        plan = table[op.name] = _Plan(op, prims)
+        plan = store.plans[op.name] = _Plan(op, prims)
     weight = 1
     fv = ()
     for (e, _pty), arrow in zip(arg_entries, plan.arrows):
@@ -663,68 +718,75 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
             fv = tuple(sorted(set(fv).union(e.free_vars))) if fv \
                 else e.free_vars
     ret = plan.ret
-    term = outcomes = steps = None
+    term = outcomes = steps = ids = None
     if plan.arrow_ret:
         # no stored outcomes: they would keep closures in the store
-        term = _term(plan, arg_entries, table)
+        term = _term(plan, arg_entries, store)
         sig = compute_signature(term, task, limits, prims, fv, ret)
     else:
         found = _applied(plan, arg_entries, task, limits, prims, bool(fv),
-                         table)
+                         store)
         if found is None:
-            term = _term(plan, arg_entries, table)
-            found = _evaluated(term, task, limits, prims, fv)
-        outcomes, steps = found
-        sig = _plain_sig(outcomes, fv, "v")
-        if sig is not None and store is not None:
-            old = store.by_sig.get(sig)
-            if old is not None and old.weight <= weight:
-                return old
+            term = _term(plan, arg_entries, store)
+            outcomes, steps = _evaluated(term, task, limits, prims, fv)
+            ids = store.ids_of(outcomes, fv)
+        else:
+            ids, steps = found
+        # by_ids holds only entries with ids, so the ids of outcomes that
+        # include a function value miss
+        old = store.by_ids.get((fv, ids))
+        if old is not None and old.weight <= weight:
+            return old
+        if outcomes is None:
+            outcomes = store.outcomes_of(ids, fv)
         if term is None:
-            term = _term(plan, arg_entries, table)
+            term = _term(plan, arg_entries, store)
+        sig = _plain_sig(outcomes, fv, "v")
         if sig is None:
+            ids = None
             sig = sig_from_outcomes(term, outcomes, fv, ret)
     return ValueEntry(term, weight, ret, sig, free_vars=fv,
                       provenance=(op.name,
                                   tuple(e.index for e, _ in arg_entries)),
-                      outcomes=outcomes, steps=steps)
+                      outcomes=outcomes, steps=steps, ids=ids)
 
 
-def _term(plan: _Plan, arg_entries, table: dict) -> Apply:
-    return Apply(plan.ref, tuple([arg_term(e, pty, table)
+def _term(plan: _Plan, arg_entries, store: ValueStore) -> Apply:
+    return Apply(plan.ref, tuple([arg_term(e, pty, store)
                                   for e, pty in arg_entries]))
 
 
 def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
-             prims, rows: bool, table: dict):
-    """(outcomes, steps) of applying the planned operation to the argument
-    entries, from their stored outcomes, or None when the term must be
-    evaluated in full.
+             prims, rows: bool, store: ValueStore):
+    """(ids, steps) of applying the planned operation to the argument
+    entries, from their ids, or None when the term must be evaluated in
+    full.
 
     The contexts are the examples, or example x battery row when `rows`.
-    Each context's argument vector is one key: an argument's stored outcome
-    in that context, or for a lifted lambda the context's example index,
-    since its body may read task inputs.  The operation is applied once per
-    key not yet in `plan.memos[lambdas]`, where `lambdas` holds the
-    (index, weight) of each lambda argument in order, through invoke_prim,
-    in an evaluator of its own when a lambda or a learned operation takes
-    steps.  The memo maps the key to (outcome, steps of the application),
-    or, for a primitive applied to base values only, which takes no steps,
-    to the outcome; the outcome is spread back over the contexts with that
-    key.  The lambda entries must be store entries: the store replaces an
-    improved entry's term in place, and the new term only has to match the
-    old one on the battery, so the weight is part of the key.
+    Each context's argument vector is one key: an argument's id in that
+    context, or for a lifted lambda the context's example index, since its
+    body may read task inputs, or 0 if it reads none.  The operation is
+    applied once per key not yet in `plan.memos[lambdas]`, where `lambdas`
+    holds the (index, weight) of each lambda argument in order, through
+    invoke_prim, in an evaluator of its own when a lambda or a learned
+    operation takes steps.  The memo maps the key to (result id, steps of
+    the application), or, for a primitive applied to base values only,
+    which takes no steps, to the result id; the id is spread back over the
+    contexts with that key.  The lambda entries must be store entries: the
+    store replaces an improved entry's term in place, and the new term only
+    has to match the old one on the battery, so the weight is part of the
+    key.
 
-    If every argument has the same outcomes (or rows) in each example as in
-    example 0, every context's key is that of the same context of example
-    0, so the operation is applied over example 0's contexts only and their
-    result stands for every example.  A lambda argument's keys are the
-    example indices, which differ.
+    If every argument has the same ids in each example as in example 0
+    (ValueEntry.invariant), and no lambda reads a task input, every context's
+    key is that of the same context of example 0, so the operation is
+    applied over example 0's contexts only and their result stands for
+    every example.
 
     The outcomes are those of evaluating the term (eval_outcomes) because:
     - by build_entry's contract only a lambda argument depends on the
-      example, and within one store a lambda's (index, weight) fixes its
-      term;
+      example, and only if it reads a task input; within one store a
+      lambda's (index, weight) fixes its term;
     - the first error among the arguments, in order, is the outcome; an
       argument or an application that runs out of steps on its own also
       does in the term;
@@ -734,86 +796,95 @@ def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
       among this call's keys fit the limit together, no context runs out
       of steps; if they may not, None."""
     n = len(task.examples)
-    # per argument: its outcome (or rows) in each example, or for a lambda
-    # the example indices
-    per, lams, lam_ids = [], [], []
-    lam_at = None  # position of the first lambda argument
+    cols, lams, lam_ids = [], [], []
+    ex_at = None  # position of the first lambda argument reading an input
+    invariant = True
     bound = 1  # steps before the application, in any context
     for (e, pty), arrow in zip(arg_entries, plan.arrows):
         if arrow:
             if e.ty == pty:
                 return None  # a concrete function value
-            if lam_at is None:
-                lam_at = len(lams)
-            per.append(range(n))
-            lams.append(arg_term(e, pty, table))
+            lam, closed = _lifted(e, pty, store)
+            if closed:
+                cols.append(repeat(0))
+            else:
+                if ex_at is None:
+                    ex_at = len(lams)
+                invariant = False
+                cols.append(_spread(range(n)) if rows else range(n))
+            lams.append(lam)
             lam_ids.append((e.index, e.weight))
             bound += 1
             continue
-        if e.outcomes is None or e.steps is None:
+        ids = e.ids
+        if ids is None or e.steps is None:
             return None
-        per.append(e.outcomes)
+        if not e.invariant:
+            invariant = False
+        if rows and not e.free_vars:
+            if e.spread is None:
+                e.spread = tuple(_spread(ids))
+            ids = e.spread
+        cols.append(ids)
         lams.append(None)
         bound += e.steps
     if bound > limits.max_steps:
         return None
-    invariant = n > 1 and all(p.count(p[0]) == n for p in per)
-    if invariant:
-        per = [p[:1] for p in per]
-    if rows:
-        cols = [chain.from_iterable(p) if lam is None and e.free_vars
-                else _spread(p)
-                for p, (e, _), lam in zip(per, arg_entries, lams)]
-    else:
-        cols = per
-    fn = plan.fn
-    bare = lam_at is None and not plan.learned
-    if bare:
-        # no evaluator needed: a primitive of base values takes no steps
-        def apply(key):
-            args = []
-            for o in key:
-                if o[0] == "e":
-                    return o
-                args.append(runtime_value(o))
-            try:
-                return canon_value(invoke_prim(fn, args, limits, prims))
-            except EvalError as err:
-                return ("e", err.kind)
-    else:
-        def apply(key):
-            for o, lam in zip(key, lams):
-                if lam is None and o[0] == "e":
-                    return o, 0
-            i = 0 if lam_at is None else key[lam_at]
-            ev = Evaluator(prims, task.examples[i][0], limits)
-            args = [runtime_value(o) if lam is None else Closure(lam, [], ev)
-                    for o, lam in zip(key, lams)]
-            try:
-                o = canon_value(invoke_prim(fn, args, limits, prims, ev))
-            except EvalError as err:
-                if err.kind == "steps":
-                    return ("e", "steps"), 0
-                o = ("e", err.kind)
-            return o, ev.steps
-
+    bare = not lam_ids and not plan.learned
     lam_ids = tuple(lam_ids)
     memo = plan.memos.get(lam_ids)
     if memo is None:
         memo = plan.memos[lam_ids] = {}
-    get = memo.get
-    # a hit is a non-empty tuple, so `or` applies only on a miss
-    hits = [get(key) or memo.setdefault(key, apply(key))
-            for key in zip(*cols)]
+    # example 0's contexts, or all of them
+    contexts = (BATTERY_ROWS if rows else 1) * (1 if invariant else n)
+    keys = list(islice(zip(*cols), contexts))
+    hits = list(map(memo.get, keys))
+    if None in hits:
+        for j, hit in enumerate(hits):
+            if hit is None:
+                key = keys[j]
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = _apply(plan.fn, key, lams, bare, ex_at,
+                                             task, limits, prims, store)
+                hits[j] = hit
     if bare:
-        steps, outs = bound, hits
+        steps, ids = bound, tuple(hits)
     else:
         steps = bound + max(map(itemgetter(1), hits), default=0)
         if steps > limits.max_steps:
             return None
-        outs = map(_tag, hits)
-    outs = tuple(zip(*[iter(outs)] * BATTERY_ROWS)) if rows else tuple(outs)
-    return (outs * n if invariant else outs), steps
+        ids = tuple(map(_tag, hits))
+    return (ids * n if invariant else ids), steps
+
+
+def _apply(fn, key, lams, bare, ex_at, task: Task, limits: EvalLimits,
+           prims, store: ValueStore):
+    """_applied's memo entry for `key`: the id of the outcome of applying
+    `fn` to the key's arguments, with the steps the application took unless
+    `bare`."""
+    values, intern = store.values, store.intern
+    for k, lam in zip(key, lams):
+        if lam is None and values[k][0] == "e":
+            return k if bare else (k, 0)
+    if bare:
+        # no evaluator needed: a primitive of base values takes no steps
+        try:
+            return intern(canon_value(invoke_prim(
+                fn, [runtime_value(values[k]) for k in key], limits, prims)))
+        except EvalError as err:
+            return intern(("e", err.kind))
+    ev = Evaluator(prims, task.examples[0 if ex_at is None else key[ex_at]][0],
+                   limits)
+    args = [runtime_value(values[k]) if lam is None else Closure(lam, [], ev)
+            for k, lam in zip(key, lams)]
+    try:
+        o = canon_value(invoke_prim(fn, args, limits, prims, ev))
+    except EvalError as err:
+        if err.kind == "steps":
+            return intern(("e", "steps")), 0
+        o = ("e", err.kind)
+    return intern(o), ev.steps
 
 
 def _spread(per_example):
@@ -852,7 +923,6 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     nondecreasing in weight, deduplicating by signature."""
     prims = lib.prims()
     store = init_store(task, lib, limits)
-    table: dict = {}  # build_entry's applications, for this store only
     solution = _first_solution(store, task)
     candidates = 0
     if solution is not None and stop_on_solve:
@@ -881,8 +951,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                                                 timed_out=True)
                     if not admissible(tup, store.allowed):
                         continue
-                    entry = build_entry(op, tup, task, limits, prims,
-                                        table, store)
+                    entry = build_entry(op, tup, task, limits, prims, store)
                     candidates += 1
                     canon, is_new, _ = store.add(entry)
                     if is_new and signature_solves(canon.signature, task):
@@ -974,7 +1043,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     last_restart = 0.0
     rng = random.Random(cfg.random_seed)
     store = init_store(task, lib, cfg.eval_limits)
-    table: dict = {}  # build_entry's applications, for this store only
     solution = _first_solution(store, task)
     executed: Dict[str, set] = {op.name: set() for op in ops}
     samplers: Dict[str, UniqueSampler] = {}
@@ -1048,7 +1116,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                 done.add(key)
                 if 1 + sum(e.weight for e, _ in tup) <= cfg.max_weight:
                     entry = build_entry(op, tup, task, cfg.eval_limits,
-                                        prims, table, store)
+                                        prims, store)
                     candidates += 1
                     canon, is_new, improved = store.add(entry)
                     if is_new and solution is None and \
@@ -1067,7 +1135,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             last_restart = clock.now()
             rng = random.Random(cfg.random_seed + restarts)
             store = init_store(task, lib, cfg.eval_limits)
-            table = {}
             executed = {op.name: set() for op in ops}
             samplers.clear()
             seen = dict.fromkeys(executed, (0, 0))
@@ -1132,10 +1199,7 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
     """Per position, a softmax over the scores of its candidates with an
-    empty prefix, as the position's ranking holds them (ValueStore.ranking).
-    A ranking keeps its distribution until the ranking changes, so a
-    position whose candidates and their weights are as they were reuses
-    the list it gave last time; callers must not mutate it."""
+    empty prefix, as the position's ranking holds them (ValueStore.ranking)."""
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty)
@@ -1143,14 +1207,9 @@ def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
             return None
         r = store.ranking(scorer, op.name, j, cands,
                           make_context(task, j, store.features))
-        if r.dist is None:
-            pairs = r.pairs
-            pairs += [(e, pty) for e in cands[len(pairs):]]
-            keys = r.keys
-            scores = [-keys[e.index][0] for e in cands]
-            m = max(scores)
-            weights = [math.exp(s - m) for s in scores]
-            total = sum(weights)
-            r.dist = [(pair, w / total) for pair, w in zip(pairs, weights)]
-        dists.append(r.dist)
+        scores = [-r.keys[e.index][0] for e in cands]
+        m = max(scores)
+        weights = [math.exp(s - m) for s in scores]
+        total = sum(weights)
+        dists.append([((e, pty), w / total) for e, w in zip(cands, weights)])
     return dists

@@ -79,6 +79,8 @@ def test_run_wake_solves_and_builds_corpus():
     wake = run_wake(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH)
     assert wake.solved == 3 and wake.total == 3
     assert wake.solve_rate == 1.0
+    # each search's store is dropped once its solution is checked
+    assert all(r.store is None for _, r in wake.results)
     corpus = wake.corpus()
     assert set(corpus) == {"rev", "srt", "inc_head"}
     for name, progs in corpus.items():

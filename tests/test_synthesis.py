@@ -21,13 +21,14 @@ from pbesynth.guidance import (
     generate_traces, train_scorer,
 )
 from pbesynth.lang import (
-    INT, INT_LIST, Arrow, ConstInt, EvalError, EvalLimits, bind_input_vars,
-    format_term, invoke_prim, parse_term, parse_type, term_size,
+    INT, INT_LIST, Apply, Arrow, ConstInt, EvalError, EvalLimits, PrimRef,
+    bind_input_vars, format_term, invoke_prim, parse_term, parse_type,
+    term_size,
 )
 from pbesynth.synthesis import (
     SearchConfig, UniformScorer, ValueEntry, ValueStore, _evaluated,
-    _sampler_dists, admissible, arrow_placeholder_names, beam_select_args,
-    build_entry, compute_signature, eval_outcomes,
+    _sampler_dists, admissible, arg_term, arrow_placeholder_names,
+    beam_select_args, build_entry, compute_signature, eval_outcomes,
     exhaustive_search, init_store, lib_placeholders, make_context, search,
     sig_from_outcomes, signature_solves,
 )
@@ -146,7 +147,7 @@ def test_arrow_returning_op_signatures_are_pinned():
     def build(name, *args):
         op = ARROW_LIB.op(name)
         e = build_entry(op, tuple(zip(args, op.signature.params)), task,
-                        LIMITS, prims)
+                        LIMITS, prims, store)
         assert e.outcomes is None or e.ty == INT
         return e
 
@@ -182,7 +183,7 @@ def test_opaque_arrow_values_with_different_terms_stay_apart():
     for hi in (zero, one):
         tup = tuple(zip((xs, zero, hi), loop.signature.params))
         entry, is_new, _ = store.add(build_entry(loop, tup, task, LIMITS,
-                                                 ARROW_LIB.prims()))
+                                                 ARROW_LIB.prims(), store))
         assert is_new
         built.append(entry)
     assert [format_term(e.term) for e in built] == \
@@ -275,14 +276,15 @@ def test_build_entry_lifts_and_weights():
     ph = next(e for e in store.entries if format_term(e.term) == "%0i")
     one = next(e for e in store.entries if format_term(e.term) == "1")
     add_op = lib.op("Add")
-    body = build_entry(add_op, ((ph, INT), (one, INT)), TASK, LIMITS, PRIMS)
+    body = build_entry(add_op, ((ph, INT), (one, INT)), TASK, LIMITS, PRIMS,
+                       store)
     assert body.weight == 2 and body.free_vars == ("%0i",)
     canon_body, _, _ = store.add(body)
     xs = next(e for e in store.entries if format_term(e.term) == "xs")
     map_op = lib.op("Map")
     fn_param = map_op.signature.params[0]
     entry = build_entry(map_op, ((canon_body, fn_param), (xs, INT_LIST)),
-                        TASK, LIMITS, PRIMS)
+                        TASK, LIMITS, PRIMS, store)
     assert format_term(entry.term) == "(Map (lam (Add $0 1)) xs)"
     assert entry.weight == 4
     assert entry.free_vars == ()
@@ -296,7 +298,8 @@ def test_build_entry_outcomes_match_full_evaluation():
     xs = next(e for e in store.entries if format_term(e.term) == "xs")
     n = next(e for e in store.entries if format_term(e.term) == "n")
     take = lib.op("Take")
-    entry = build_entry(take, ((xs, INT_LIST), (n, INT)), task, LIMITS, PRIMS)
+    entry = build_entry(take, ((xs, INT_LIST), (n, INT)), task, LIMITS, PRIMS,
+                        store)
     direct = eval_outcomes(entry.term, task, LIMITS, PRIMS)
     assert entry.outcomes == direct
     assert entry.signature == sig_from_outcomes(entry.term, direct)
@@ -477,8 +480,9 @@ def test_cached_build_entry_matches_plain_evaluation(data):
     limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
     task = data.draw(_repeating_tasks())
     prims = lib.prims()
-    store = init_store(task, lib, limits)
-    table = {}  # shared by every build, as in one search
+    # every candidate is built in full, through the store's plans as in
+    # one search
+    store = _unprobed(init_store(task, lib, limits))
     names = set(lib.op_names())
 
     def entry(text):
@@ -491,7 +495,7 @@ def test_cached_build_entry_matches_plain_evaluation(data):
     def build(name, *args):
         op = lib.op(name)
         tup = tuple(zip(args, op.signature.params))
-        e = build_entry(op, tup, task, limits, prims, table)
+        e = build_entry(op, tup, task, limits, prims, store)
         plain = eval_outcomes(e.term, task, limits, prims, e.free_vars)
         assert e.outcomes == plain, format_term(e.term)
         assert e.signature == compute_signature(e.term, task, limits, prims,
@@ -520,6 +524,20 @@ def test_cached_build_entry_matches_plain_evaluation(data):
             build(op.name, *(e for e, _ in tup))
 
 
+class _Misses(dict):
+    """A dict whose `get` finds nothing."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _unprobed(store):
+    """`store`, with an id probe that always misses, so build_entry builds
+    every candidate in full."""
+    store.by_ids = _Misses(store.by_ids)
+    return store
+
+
 def _store_state(store):
     return ([(format_term(e.term), e.weight, e.ty, e.signature, e.free_vars,
               e.index, e.provenance, e.outcomes, e.steps)
@@ -529,17 +547,17 @@ def _store_state(store):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_probed_store_matches_a_store_fed_full_entries(data):
-    """build_entry given the store returns the stored entry for a duplicate
-    at an equal or higher weight, and builds no term or entry for it.  Fed
-    to store.add, every candidate must give the (entry, is_new, improved)
-    triple a store fed full entries gives, and the two stores must end the
-    same."""
+    """build_entry returns the stored entry for a duplicate at an equal or
+    higher weight, and builds no term or entry for it.  Fed to store.add,
+    every candidate must give the (entry, is_new, improved) triple a store
+    whose probe always misses, fed full entries, gives, and the two stores
+    must end the same."""
     lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
     limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
     task = data.draw(_repeating_tasks())
     prims = lib.prims()
-    probed, ref = init_store(task, lib, limits), init_store(task, lib, limits)
-    tables = {}, {}
+    probed = init_store(task, lib, limits)
+    ref = _unprobed(init_store(task, lib, limits))
     names = set(lib.op_names())
 
     def entry(text):
@@ -551,8 +569,8 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
         op = lib.op(name)
         tup = tuple(zip(args, op.signature.params))
         twin = tuple((ref.entries[e.index], pty) for e, pty in tup)
-        got = build_entry(op, tup, task, limits, prims, tables[0], probed)
-        full = build_entry(op, twin, task, limits, prims, tables[1])
+        got = build_entry(op, tup, task, limits, prims, probed)
+        full = build_entry(op, twin, task, limits, prims, ref)
         if got.index < 0:  # built in full
             assert got.outcomes == eval_outcomes(got.term, task, limits,
                                                  prims, got.free_vars)
@@ -596,6 +614,59 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
         assert _store_state(probed) == _store_state(ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
+    """Over random growth rounds, every entry whose outcomes are plain (a
+    base-typed term, no function value) has ids that decode through the
+    store's intern table to its outcomes, flattened over the contexts, and
+    every other entry has none; by_ids holds exactly the entries with ids.
+    Each candidate's id probe finds what by_sig holds under the
+    signature of the candidate's term, evaluated in full."""
+    lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
+    limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
+    task = data.draw(_repeating_tasks())
+    prims = lib.prims()
+    store = init_store(task, lib, limits)
+    for _round in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(0, 25))):
+            op = data.draw(st.sampled_from(lib.operations))
+            tup = tuple((data.draw(st.sampled_from(
+                store.candidates_for(pty))), pty)
+                for pty in op.signature.params)
+            if not admissible(tup, store.allowed):
+                continue
+            term = Apply(PrimRef(op.name),
+                         tuple(arg_term(e, pty, store) for e, pty in tup))
+            fv = set()
+            for e, pty in tup:
+                if not isinstance(pty, Arrow):
+                    fv.update(e.free_vars)
+            sig = compute_signature(term, task, limits, prims, tuple(fv),
+                                    op.signature.ret)
+            got = build_entry(op, tup, task, limits, prims, store)
+            stored = store.get(sig)
+            if got.index >= 0:  # the probe's find
+                assert got is stored
+            else:
+                assert got.signature == sig
+                assert stored is None or stored.weight > got.weight
+            store.add(got)
+        with_ids = 0
+        for e in store.entries:
+            flat = e.outcomes
+            if e.free_vars and flat is not None:
+                flat = tuple(o for row in flat for o in row)
+            if flat is not None and not isinstance(e.ty, Arrow) and \
+                    all(o[0] != "fn" for o in flat):
+                assert tuple(store.values[i] for i in e.ids) == flat
+                assert store.by_ids[(e.free_vars, e.ids)] is e
+                with_ids += 1
+            else:
+                assert e.ids is None
+        assert len(store.by_ids) == with_ids
+
+
 def test_search_builds_entries_only_for_new_or_improved_values(monkeypatch):
     """A search builds a ValueEntry only for a seed, a new entry or an
     improvement: each duplicate at an equal or higher weight is found by
@@ -637,13 +708,13 @@ def test_application_table_follows_an_improved_lambda():
     and the improved term only has to match the old one on the battery;
     so an application that used the old term is not reused."""
     task = simple_task([((7, 2), [0]), ((9,), [0])])
-    store = init_store(task, FULL, LIMITS)
-    table = {}
+    # the probe would return the stored %0i for (Min %0i 5) below
+    store = _unprobed(init_store(task, FULL, LIMITS))
 
     def build(name, *args):
         op = FULL.op(name)
         e = build_entry(op, tuple(zip(args, op.signature.params)), task,
-                        LIMITS, PRIMS, table)
+                        LIMITS, PRIMS, store)
         return e, store.add(e)
 
     def stored(text):
@@ -672,9 +743,10 @@ def test_application_table_pins_primitive_calls(monkeypatch):
     """One table per search applies each operation once per distinct
     argument vector in that search, and lifts each lambda once per (index,
     weight, parameter type): the counts were recorded when the table came
-    in (before it, 20,483 and 30,466 primitive calls) and when it took the
-    lifts (before, 1,061 and 241 lifts), and the candidate counts are
-    unchanged."""
+    in (before it, 20,483 and 30,466 primitive calls), when it took the
+    lifts (before, 1,061 and 241 lifts) and when a lambda that reads no
+    task input stopped being keyed by example (before, 2,099 and 2,499
+    calls), and the candidate counts are unchanged."""
     calls, lifts = [], []
 
     def counting(*args):
@@ -695,11 +767,11 @@ def test_application_table_pins_primitive_calls(monkeypatch):
                        restarts_enabled=False)
     r = search(task, MICRO_LIB, UniformScorer(), cfg)
     assert (r.solved, r.candidates_evaluated, len(calls), len(lifts)) == \
-        (True, 2146, 2099, 40)
+        (True, 2146, 1996, 40)
     calls.clear()
     lifts.clear()
     ex = exhaustive_search(task, MICRO_LIB, max_weight=4, stop_on_solve=False)
-    assert (ex.candidates, len(calls), len(lifts)) == (3383, 2499, 31)
+    assert (ex.candidates, len(calls), len(lifts)) == (3383, 2434, 31)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +841,7 @@ def _grow(store, data, max_steps=25, ops=DIFF_LIB.operations):
             cands = store.candidates_for(pty)
             tup.append((cands[data.draw(st.integers(0, len(cands) - 1))],
                         pty))
-        store.add(build_entry(op, tuple(tup), TASK, LIMITS, prims))
+        store.add(build_entry(op, tuple(tup), TASK, LIMITS, prims, store))
     return store
 
 
@@ -863,7 +935,7 @@ def test_selection_breaks_rounded_score_ties_like_reference():
         op = rng.choice(DIFF_LIB.operations)
         tup = tuple((rng.choice(store.candidates_for(pty)), pty)
                     for pty in op.signature.params)
-        store.add(build_entry(op, tup, TASK, LIMITS, prims))
+        store.add(build_entry(op, tup, TASK, LIMITS, prims, store))
     for _ in range(5):
         scorer = LinearScorer({
             n: [1e16] + [rng.uniform(-3.0, 3.0) for _ in range(FEATURE_DIM - 1)]
@@ -975,14 +1047,11 @@ def test_memoized_scores_equal_plain_feature_products(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_reused_sampler_dists_equal_reference(data):
-    """A position whose candidates and their weights are as they were
-    gets the distribution list it got last time, and every distribution,
-    reused or rebuilt, is exactly the reference's.  Each round grows the
-    store through a drawn subset of the operations, so only the positions
-    of some types gain candidates."""
+    """Every distribution, over grow and improve rounds, is exactly the
+    reference's.  Each round grows the store through a drawn subset of the
+    operations, so only the positions of some types gain candidates."""
     store = init_store(TASK, DIFF_LIB, LIMITS)
     scorer = _scorers(data)
-    last = {}
     for _round in range(data.draw(st.integers(2, 5))):
         ops = data.draw(st.lists(st.sampled_from(DIFF_LIB.operations),
                                  max_size=2, unique_by=lambda o: o.name))
@@ -993,13 +1062,6 @@ def test_reused_sampler_dists_equal_reference(data):
             dists = _sampler_dists(op, store, scorer, TASK)
             assert _dist_ids(dists) == \
                 _dist_ids(reference_sampler_dists(op, store, scorer, TASK))
-            for j, pty in enumerate(op.signature.params if dists else ()):
-                state = [(e.index, e.weight)
-                         for e in store.candidates_for(pty)]
-                before = last.get((op.name, j))
-                if before is not None and before[0] == state:
-                    assert dists[j] is before[1]
-                last[(op.name, j)] = (state, dists[j])
 
 
 def test_guided_search_extracts_features_once_per_scored_entry(monkeypatch):
