@@ -25,15 +25,15 @@ from typing import Dict, List, Optional, Tuple
 from .lang import (
     INT, BOOL, INT_LIST, Arrow, Ty, Term, Apply, InputVar, PrimRef, Closure,
     EvalError, EvalLimits, Evaluator, LearnedOp, bind_input_vars,
-    canon_value, evaluate, format_term, free_input_vars, invoke_prim,
-    runtime_value, term_size,
+    canon_value, evaluate, free_input_vars, invoke_prim, runtime_value,
+    term_size,
 )
 from .dsl import DSLibrary, Operation
 from .sampling import UniqueSampler
 from .task import Task
 
 # ---------------------------------------------------------------------------
-# Canonical battery for fingerprinting function-valued programs
+# Canonical battery: the placeholder values a lambda body is evaluated on
 # ---------------------------------------------------------------------------
 
 INT_BATTERY = (0, 1, 2, -1, 3, 5, -2, 4)
@@ -68,8 +68,8 @@ def lib_placeholders(lib: DSLibrary):
     """Placeholder variables demanded by the library's arrow parameters.
 
     Returns (name -> Ty map, list of frozensets of names usable together).
-    Arrow parameters whose own parameters are arrows are skipped (no lifting
-    for those; concrete closure values still apply).
+    Arrow parameters whose own parameters are arrows are skipped: no body
+    is lifted for those, so they have no candidates.
     """
     names: Dict[str, Ty] = {}
     allowed = set()
@@ -93,27 +93,11 @@ def arrow_placeholder_names(arrow: Arrow) -> Optional[list]:
 # ---------------------------------------------------------------------------
 #
 # An outcome is what a term gives in one evaluation context: its value in
-# lang.canon_value's form (("i", v), ("b", v), ("l", tuple), or ("fn", v)
-# for a function value), or ("e", kind) for an EvalError.  A signature holds
-# the outcomes as they are and replaces only function values.
+# lang.canon_value's form (("i", v), ("b", v) or ("l", tuple)), or
+# ("e", kind) for an EvalError.  The store holds no function values (see
+# init_store), so a signature is the outcomes themselves.
 
 _tag = itemgetter(0)
-
-
-def _probe_closure(clos, arrow: Arrow, term: Term):
-    outcomes = []
-    for row in range(BATTERY_ROWS):
-        try:
-            args = [_battery_value(q, row, j) for j, q in enumerate(arrow.params)]
-        except ValueError:
-            # no battery for an arrow parameter: opaque, named by the term
-            return ("opaque-arrow", format_term(term))
-        try:
-            o = canon_value(clos(*args))
-            outcomes.append(("opaque",) if o[0] == "fn" else o)
-        except EvalError as e:
-            outcomes.append(("e", e.kind))
-    return tuple(outcomes)
 
 
 def _evaluated(term: Term, task: Task, limits: EvalLimits, prims,
@@ -156,56 +140,20 @@ def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
     return _evaluated(term, task, limits, prims, free_vars)[0]
 
 
-def sig_from_outcomes(term: Term, outcomes,
-                      free_vars: Tuple[str, ...] = (),
-                      ty: Optional[Ty] = None):
-    """The semantic signature a term of type `ty` gets from its outcomes
-    (see eval_outcomes).
-
-    Values and errors stand for themselves, so unless an outcome is a
-    function value the signature holds `outcomes` itself.  A function value
-    of an arrow-typed term is fingerprinted by its outputs on the canonical
-    battery; any other function value is opaque.  Terms with free
-    placeholders are tagged "f", other arrow-typed terms "c", the rest
-    "v"."""
-    arrow = isinstance(ty, Arrow)
-    free_vars = tuple(sorted(free_vars))
-    sig = _plain_sig(outcomes, free_vars, "c" if arrow else "v")
-    if sig is not None:
-        return sig
-
-    def c(o, opaque):
-        if o[0] != "fn":
-            return o
-        return _probe_closure(o[1], ty, term) if arrow else opaque
-
+def sig_from_outcomes(outcomes, free_vars: Tuple[str, ...] = ()):
+    """The semantic signature of a term with these outcomes (see
+    eval_outcomes) and free placeholders: ("v", outcomes), or for a lambda
+    body ("f", sorted free placeholders, outcomes)."""
     if free_vars:
-        return ("f", free_vars, tuple(tuple(c(o, ("opaque",)) for o in row)
-                                      for row in outcomes))
-    # the opaque fallback names the term
-    opaque = None if arrow else ("opaque", format_term(term))
-    return ("c" if arrow else "v", tuple(c(o, opaque) for o in outcomes))
-
-
-def _plain_sig(outcomes, free_vars: Tuple[str, ...], kind: str):
-    """sig_from_outcomes's signature, `kind` being "c" or "v", when no
-    outcome is a function value, else None.  `free_vars` must be sorted."""
-    if free_vars:
-        if "fn" in map(_tag, chain.from_iterable(outcomes)):
-            return None
-        return ("f", free_vars, outcomes)
-    if "fn" in map(_tag, outcomes):
-        return None
-    return (kind, outcomes)
+        return ("f", tuple(sorted(free_vars)), outcomes)
+    return ("v", outcomes)
 
 
 def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
-                      free_vars: Tuple[str, ...] = (),
-                      ty: Optional[Ty] = None):
+                      free_vars: Tuple[str, ...] = ()):
     """Semantic signature of a term on the task's examples."""
     return sig_from_outcomes(
-        term, eval_outcomes(term, task, limits, prims, free_vars),
-        free_vars, ty)
+        eval_outcomes(term, task, limits, prims, free_vars), free_vars)
 
 
 def signature_solves(sig, task: Task) -> bool:
@@ -225,14 +173,13 @@ class ValueEntry:
     free_vars: Tuple[str, ...] = ()  # sorted
     index: int = -1
     provenance: Optional[tuple] = None  # (op_name, (entry_idx, ...))
-    outcomes: Optional[tuple] = None  # per-context outcomes, see eval_outcomes
     # at least the steps `term` takes in any context whose evaluation does
     # not run out of steps; None if unknown
     steps: Optional[int] = None
-    # `outcomes` as ids of the store's intern table (ValueStore.intern),
-    # flattened over the contexts, when the term is base-typed and no
-    # outcome is a function value; None otherwise
-    ids: Optional[tuple] = None
+    # the per-context outcomes (see eval_outcomes) as ids of the intern
+    # table of the store the entry is built for (ValueStore.intern),
+    # flattened over the contexts
+    ids: tuple = field(kw_only=True)
     # whether every example's ids are those of example 0; and `ids` with
     # each repeated once per battery row (see _applied, which fills it)
     invariant: bool = field(default=False, init=False, repr=False,
@@ -242,32 +189,32 @@ class ValueEntry:
 
     def __post_init__(self):
         ids = self.ids
-        if ids is not None:
-            k = BATTERY_ROWS if self.free_vars else 1
-            self.invariant = ids[:k] * (len(ids) // k) == ids
+        k = BATTERY_ROWS if self.free_vars else 1
+        self.invariant = ids[:k] * (len(ids) // k) == ids
 
     @property
     def is_lambda(self) -> bool:
-        return bool(self.free_vars) or isinstance(self.ty, Arrow)
+        return bool(self.free_vars)
 
 
 class ValueStore:
-    """Signature-deduplicated entries, append-only: `add` appends a new
-    signature or lowers an existing entry's weight in place, and logs the
-    index of every entry it improves in `improved`.
+    """Entries deduplicated by value, append-only: `add` appends a new value
+    or lowers an existing entry's weight in place, and logs the index of
+    every entry it improves in `improved`.
+
+    A value is an entry's (free placeholders, ids): its outcomes in every
+    context, as ids of the store's intern table, which gives every outcome
+    met a small int id.  `by_ids` indexes the entries by value.  Ids, and
+    so the build table, mean something only against this store's table.
 
     `allowed` lists the placeholder sets usable together in one term: those
     of the library the store searches (lib_placeholders).
 
-    The store also owns build_entry's state for its entries: an intern
-    table giving every outcome met a small int id, the index `by_ids` of
-    entries with ids under (free_vars, ids), and the build table of a _Plan
-    per operation name and lifted lambdas (arg_term).  Ids, and so the
-    plans' memos, mean something only against this store's table."""
+    The store also owns build_entry's build table: a _Plan per operation
+    name, and lifted lambdas (arg_term)."""
 
     def __init__(self, allowed=()):
         self.allowed = list(allowed)
-        self.by_sig: Dict[tuple, ValueEntry] = {}
         self.by_ids: Dict[tuple, ValueEntry] = {}
         self.interned: Dict[tuple, int] = {}  # outcome -> id
         self.values: List[tuple] = []  # id -> outcome
@@ -277,7 +224,7 @@ class ValueStore:
         self.entries: List[ValueEntry] = []  # insertion order; index == position
         self.by_ty: Dict[Ty, List[ValueEntry]] = {}
         self.improved: List[int] = []  # indices add() improved, in order
-        # type -> [list, by_ty[type] seen, by_ty[ret] seen]
+        # type -> [list, how much of its source list (candidates_for) seen]
         self._cands: Dict[Ty, list] = {}
         self._scorer = None
         self._scores: Dict[tuple, float] = {}
@@ -287,10 +234,7 @@ class ValueStore:
         self.features: Dict[tuple, list] = {}
 
     def __len__(self):
-        return len(self.by_sig)
-
-    def get(self, sig):
-        return self.by_sig.get(sig)
+        return len(self.entries)
 
     def intern(self, outcome) -> int:
         """The id of `outcome` in this store's intern table."""
@@ -322,20 +266,18 @@ class ValueStore:
     def add(self, entry: ValueEntry):
         """Insert or improve.  Returns (canonical_entry, is_new, improved).
 
-        Duplicate-signature entries are never appended, so `entries` holds
-        exactly the live canonical entries, in insertion order."""
+        Duplicate values are never appended, so `entries` holds exactly the
+        live canonical entries, in insertion order."""
         if 0 <= entry.index < len(self.entries) and \
                 self.entries[entry.index] is entry:
-            # this store's entry for its signature, which build_entry
-            # returns for a duplicate
+            # this store's entry for its value, which build_entry returns
+            # for a duplicate
             return entry, False, False
-        old = self.by_sig.setdefault(entry.signature, entry)
+        old = self.by_ids.setdefault((entry.free_vars, entry.ids), entry)
         if old is entry:
             entry.index = len(self.entries)
             self.entries.append(entry)
             self.by_ty.setdefault(entry.ty, []).append(entry)
-            if entry.ids is not None:
-                self.by_ids[(entry.free_vars, entry.ids)] = entry
             return entry, True, False
         if entry.weight < old.weight:
             old.term = entry.term
@@ -346,35 +288,29 @@ class ValueStore:
             return old, False, True
         return old, False, False
 
-    def of_type(self, ty: Ty):
-        return self.by_ty.get(ty, [])
-
     def candidates_for(self, pty: Ty):
         """Entries usable at a parameter of type `pty`, in insertion order.
 
-        One list per type is extended on each call from the entries `by_ty`
-        gained since the last one; the list is shared, so callers must not
-        mutate it.  For an arrow parameter the new entries of its two
-        sources all come after every old one, so sorting just them by index
-        keeps the whole list in insertion order."""
+        Those are the entries of type `pty`, or for an arrow parameter the
+        bodies of its result type that it can lift (arg_term).  One list
+        per type is extended on each call from the entries its source list
+        in `by_ty` gained since the last one; the list is shared, so callers
+        must not mutate it."""
         state = self._cands.get(pty)
         if state is None:
-            state = self._cands[pty] = [[], 0, 0]
-        out, seen, seen_ret = state
-        same = self.by_ty.get(pty, ())
-        state[1] = len(same)
+            state = self._cands[pty] = [[], 0]
+        out, seen = state
         if isinstance(pty, Arrow):
-            new = [e for e in same[seen:] if not e.free_vars]
             names = arrow_placeholder_names(pty)
             if names is not None:
                 nameset = frozenset(names)
                 bodies = self.by_ty.get(pty.ret, ())
-                state[2] = len(bodies)
-                new += [e for e in bodies[seen_ret:]
+                state[1] = len(bodies)
+                out += [e for e in bodies[seen:]
                         if nameset.issuperset(e.free_vars)]
-                new.sort(key=_entry_index)
-            out += new
         else:
+            same = self.by_ty.get(pty, ())
+            state[1] = len(same)
             out += [e for e in same[seen:] if not e.free_vars or any(
                 s.issuperset(e.free_vars) for s in self.allowed)]
         return out
@@ -439,10 +375,6 @@ class ValueStore:
         return r
 
 
-def _entry_index(e: ValueEntry) -> int:
-    return e.index
-
-
 class _Ranking:
     """ValueStore.ranking's state for one (operation, position)."""
 
@@ -458,7 +390,7 @@ class _Ranking:
 
 def arg_term(entry: ValueEntry, pty: Ty, store: ValueStore) -> Term:
     """The term actually placed at an argument position of type `pty`."""
-    if not isinstance(pty, Arrow) or entry.ty == pty:
+    if not isinstance(pty, Arrow):
         return entry.term
     return _lifted(entry, pty, store)[0]
 
@@ -494,20 +426,25 @@ def admissible(tup, allowed_sets) -> bool:
 
 def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
     """Seed a store with task inputs, library constants, and the lambda-body
-    placeholders the library's arrow parameters call for."""
+    placeholders the library's arrow parameters call for.
+
+    The store holds no function values: a lambda is only ever an argument,
+    lifted from a stored body.  A library with an operation that returns a
+    function raises ValueError."""
+    returning = [op.name for op in lib.operations
+                 if isinstance(op.signature.ret, Arrow)]
+    if returning:
+        raise ValueError("cannot search a library with operations that "
+                         "return a function: " + ", ".join(returning))
     prims = lib.prims()
     names, allowed = lib_placeholders(lib)
     store = ValueStore(allowed)
 
     def seed(t, weight, ty, free_vars=()):
         outs, steps = _evaluated(t, task, limits, prims, free_vars)
-        plain = not isinstance(ty, Arrow) and \
-            _plain_sig(outs, free_vars, "v") is not None
-        store.add(ValueEntry(t, weight, ty,
-                             sig_from_outcomes(t, outs, free_vars, ty),
-                             free_vars=free_vars, outcomes=outs, steps=steps,
-                             ids=store.ids_of(outs, free_vars) if plain
-                             else None))
+        store.add(ValueEntry(t, weight, ty, sig_from_outcomes(outs, free_vars),
+                             free_vars=free_vars, steps=steps,
+                             ids=store.ids_of(outs, free_vars)))
 
     for name, ty in task.input_types:
         t = InputVar(name)
@@ -663,8 +600,7 @@ class _Plan:
     candidate of a store; the store keeps one under the operation's name
     (ValueStore.plans)."""
 
-    __slots__ = ("ref", "fn", "learned", "arrows", "ret", "arrow_ret",
-                 "memos")
+    __slots__ = ("ref", "fn", "learned", "arrows", "ret", "memos")
 
     def __init__(self, op: Operation, prims):
         self.ref = PrimRef(op.name)
@@ -672,7 +608,6 @@ class _Plan:
         self.learned = type(self.fn) is LearnedOp
         self.arrows = tuple(isinstance(p, Arrow) for p in op.signature.params)
         self.ret = op.signature.ret
-        self.arrow_ret = isinstance(self.ret, Arrow)
         # _applied's applications, per tuple of the lambda arguments'
         # (index, weight)
         self.memos: Dict[tuple, dict] = {}
@@ -684,28 +619,24 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
     entry for `store`, whose entries the arguments must be or have been
     built for.
 
-    A base-typed result is computed from the arguments' ids, applying the
-    operation once per distinct argument vector over the contexts (see
-    _applied).  The store's plans record those applications, so within
-    one store an application made for an earlier candidate is not made
-    again, nor a lambda lifted again (arg_term).  This relies on a
-    contract: a primitive is a pure function of its argument values, and a
-    learned operation's body is closed.  Each application runs on a fresh
-    step budget and the memo keeps the steps it took, so the outcomes are
-    those plain evaluation gives the term, step errors included.  Where the
-    arguments and the application might run out of steps together, and for
-    an arrow-typed result or an argument with no ids (a concrete function
-    value), the term is evaluated in full; an arrow-typed result is then
-    probed on the battery.
+    The result is computed from the arguments' ids, applying the operation
+    once per distinct argument vector over the contexts (see _applied).
+    The store's plans record those applications, so within one store an
+    application made for an earlier candidate is not made again, nor a
+    lambda lifted again (arg_term).  This relies on a contract: a
+    primitive is a pure function of its argument values, and a learned
+    operation's body is closed.  Each application runs on a fresh step
+    budget and the memo keeps the steps it took, so the outcomes are those
+    plain evaluation gives the term, step errors included.  Where the
+    arguments and the application might run out of steps together, the
+    term is evaluated in full.
 
-    A base-typed result none of whose outcomes is a function value is
-    looked up by its ids in `store.by_ids` before its outcomes are decoded
-    or its term built: ids stand for outcomes one to one, so this finds
-    the entry store.by_sig holds under the result's signature.  If that
-    entry weighs no more than the candidate, store.add would keep it and
-    drop the candidate, so it is returned and no entry is built.
-    store.add(stored entry) gives (stored entry, False, False), as
-    store.add(candidate) would."""
+    The result is looked up by its value in `store.by_ids` before its
+    outcomes are decoded or its term built.  If the stored entry weighs no
+    more than the candidate, store.add would keep it and drop the
+    candidate, so it is returned and no entry is built.  store.add(stored
+    entry) gives (stored entry, False, False), as store.add(candidate)
+    would."""
     plan = store.plans.get(op.name)
     if plan is None:
         plan = store.plans[op.name] = _Plan(op, prims)
@@ -717,38 +648,26 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
         if e.free_vars and not arrow and e.free_vars != fv:
             fv = tuple(sorted(set(fv).union(e.free_vars))) if fv \
                 else e.free_vars
-    ret = plan.ret
-    term = outcomes = steps = ids = None
-    if plan.arrow_ret:
-        # no stored outcomes: they would keep closures in the store
+    term = outcomes = None
+    found = _applied(plan, arg_entries, task, limits, prims, bool(fv), store)
+    if found is None:
         term = _term(plan, arg_entries, store)
-        sig = compute_signature(term, task, limits, prims, fv, ret)
+        outcomes, steps = _evaluated(term, task, limits, prims, fv)
+        ids = store.ids_of(outcomes, fv)
     else:
-        found = _applied(plan, arg_entries, task, limits, prims, bool(fv),
-                         store)
-        if found is None:
-            term = _term(plan, arg_entries, store)
-            outcomes, steps = _evaluated(term, task, limits, prims, fv)
-            ids = store.ids_of(outcomes, fv)
-        else:
-            ids, steps = found
-        # by_ids holds only entries with ids, so the ids of outcomes that
-        # include a function value miss
-        old = store.by_ids.get((fv, ids))
-        if old is not None and old.weight <= weight:
-            return old
-        if outcomes is None:
-            outcomes = store.outcomes_of(ids, fv)
-        if term is None:
-            term = _term(plan, arg_entries, store)
-        sig = _plain_sig(outcomes, fv, "v")
-        if sig is None:
-            ids = None
-            sig = sig_from_outcomes(term, outcomes, fv, ret)
-    return ValueEntry(term, weight, ret, sig, free_vars=fv,
+        ids, steps = found
+    old = store.by_ids.get((fv, ids))
+    if old is not None and old.weight <= weight:
+        return old
+    if outcomes is None:
+        outcomes = store.outcomes_of(ids, fv)
+    if term is None:
+        term = _term(plan, arg_entries, store)
+    return ValueEntry(term, weight, plan.ret, sig_from_outcomes(outcomes, fv),
+                      free_vars=fv,
                       provenance=(op.name,
                                   tuple(e.index for e, _ in arg_entries)),
-                      outcomes=outcomes, steps=steps, ids=ids)
+                      steps=steps, ids=ids)
 
 
 def _term(plan: _Plan, arg_entries, store: ValueStore) -> Apply:
@@ -760,7 +679,8 @@ def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
              prims, rows: bool, store: ValueStore):
     """(ids, steps) of applying the planned operation to the argument
     entries, from their ids, or None when the term must be evaluated in
-    full.
+    full: when an argument's steps are unknown, or the arguments and the
+    application might run out of steps together.
 
     The contexts are the examples, or example x battery row when `rows`.
     Each context's argument vector is one key: an argument's id in that
@@ -802,8 +722,6 @@ def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
     bound = 1  # steps before the application, in any context
     for (e, pty), arrow in zip(arg_entries, plan.arrows):
         if arrow:
-            if e.ty == pty:
-                return None  # a concrete function value
             lam, closed = _lifted(e, pty, store)
             if closed:
                 cols.append(repeat(0))
@@ -816,9 +734,9 @@ def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
             lam_ids.append((e.index, e.weight))
             bound += 1
             continue
-        ids = e.ids
-        if ids is None or e.steps is None:
+        if e.steps is None:
             return None
+        ids = e.ids
         if not e.invariant:
             invariant = False
         if rows and not e.free_vars:

@@ -21,9 +21,8 @@ from pbesynth.guidance import (
     generate_traces, train_scorer,
 )
 from pbesynth.lang import (
-    INT, INT_LIST, Apply, Arrow, ConstInt, EvalError, EvalLimits, PrimRef,
-    bind_input_vars, format_term, invoke_prim, parse_term, parse_type,
-    term_size,
+    INT, INT_LIST, Apply, Arrow, EvalLimits, PrimRef, bind_input_vars,
+    format_term, invoke_prim, parse_term, parse_type, term_size,
 )
 from pbesynth.synthesis import (
     SearchConfig, UniformScorer, ValueEntry, ValueStore, _evaluated,
@@ -64,29 +63,29 @@ def test_concrete_signature_distinguishes_semantics():
     t1 = parse_term("(Reverse xs)", NAMES)
     t2 = parse_term("(Sort xs)", NAMES)
     task = simple_task([((2, 1), [0]), ((1, 2), [0])])
-    s1 = compute_signature(t1, task, LIMITS, PRIMS, ty=INT_LIST)
-    s2 = compute_signature(t2, task, LIMITS, PRIMS, ty=INT_LIST)
+    s1 = compute_signature(t1, task, LIMITS, PRIMS)
+    s2 = compute_signature(t2, task, LIMITS, PRIMS)
     assert s1 != s2
 
 
 def test_semantically_equal_terms_share_signature():
     t1 = parse_term("(Add (Head xs) 1)", NAMES)
     t2 = parse_term("(Add 1 (Head xs))", NAMES)
-    s1 = compute_signature(t1, TASK, LIMITS, PRIMS, ty=INT)
-    s2 = compute_signature(t2, TASK, LIMITS, PRIMS, ty=INT)
+    s1 = compute_signature(t1, TASK, LIMITS, PRIMS)
+    s2 = compute_signature(t2, TASK, LIMITS, PRIMS)
     assert s1 == s2
 
 
 def test_errors_fold_into_signature():
     t = parse_term("(Head (Drop xs 9))", NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS, ty=INT)
+    sig = compute_signature(t, TASK, LIMITS, PRIMS)
     assert sig[0] == "v"
     assert all(o == ("e", "domain") for o in sig[1])
 
 
 def test_free_placeholder_signature_uses_battery():
     t = parse_term("(Add %0i 1)", NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS, free_vars=("%0i",), ty=INT)
+    sig = compute_signature(t, TASK, LIMITS, PRIMS, free_vars=("%0i",))
     assert sig[0] == "f" and sig[1] == ("%0i",)
     assert len(sig[2]) == len(TASK.examples)
     assert len(sig[2][0]) == 8
@@ -96,103 +95,22 @@ def test_sig_from_outcomes_matches_compute_signature():
     for text in ["(Add (Head xs) 1)", "(Reverse xs)", "(Head (Drop xs 9))"]:
         t = parse_term(text, NAMES)
         outs = eval_outcomes(t, TASK, LIMITS, PRIMS)
-        ty = INT_LIST if "Reverse" in text else INT
-        assert sig_from_outcomes(t, outs) == \
-            compute_signature(t, TASK, LIMITS, PRIMS, ty=ty)
+        assert sig_from_outcomes(outs) == \
+            compute_signature(t, TASK, LIMITS, PRIMS)
 
 
 def test_signature_solves():
     t = parse_term("(Map (lam (Add $0 1)) xs)", NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS, ty=INT_LIST)
+    sig = compute_signature(t, TASK, LIMITS, PRIMS)
     assert signature_solves(sig, TASK)
     other = compute_signature(parse_term("(Reverse xs)", NAMES),
-                              TASK, LIMITS, PRIMS, ty=INT_LIST)
+                              TASK, LIMITS, PRIMS)
     assert not signature_solves(other, TASK)
 
 
-def _at(xs):
-    def at(i):
-        if not 0 <= i < len(xs):
-            raise EvalError("domain", "index out of range")
-        return xs[i]
-    return at
-
-
-# Operations returning functions, as in the toy DSL's Loop; the arrow types
-# they return take base parameters (At, Adder) or an arrow one (Loop).
-_F_I_IL = Arrow((INT,), INT_LIST)
-ARROW_LIB = DSLibrary([
-    Operation("Len", Arrow((INT_LIST,), INT), len),
-    Operation("Call", Arrow((_F_I_IL, INT), INT_LIST), lambda f, x: f(x)),
-    Operation("Loop", Arrow((INT_LIST, INT, INT), Arrow((_F_I_IL,), INT_LIST)),
-              lambda xs, lo, hi: lambda f: [y for i in range(lo, hi)
-                                            for y in f(xs[i])]),
-    Operation("At", Arrow((INT_LIST,), Arrow((INT,), INT)), _at),
-    Operation("Adder", Arrow((INT,), Arrow((INT,), INT)),
-              lambda n: lambda x: x + n),
-], [(ConstInt(0), INT), (ConstInt(1), INT)])
-
-
-def test_arrow_returning_op_signatures_are_pinned():
-    """build_entry signatures of arrow-typed results, recorded before
-    compute_signature was folded into sig_from_outcomes; a function value
-    with an arrow parameter is opaque and named by its term."""
-    task = Task("t", (("xs", INT_LIST),),
-                (({"xs": [1, 2, 3]}, [1]), ({"xs": [4]}, [4])))
-    prims = ARROW_LIB.prims()
-    store = init_store(task, ARROW_LIB, LIMITS)
-    xs, zero, one, ph = store.entries
-    assert ph.free_vars == ("%0i",)
-
-    def build(name, *args):
-        op = ARROW_LIB.op(name)
-        e = build_entry(op, tuple(zip(args, op.signature.params)), task,
-                        LIMITS, prims, store)
-        assert e.outcomes is None or e.ty == INT
-        return e
-
-    loop = build("Loop", xs, zero, build("Len", xs))
-    assert format_term(loop.term) == "(Loop xs 0 (Len xs))"
-    assert loop.outcomes is None
-    opaque = ("opaque-arrow", "(Loop xs 0 (Len xs))")
-    assert loop.signature == ("c", (opaque, opaque))
-    opaque = ("opaque-arrow", "(Loop xs 0 %0i)")
-    assert build("Loop", xs, zero, ph).signature == \
-        ("f", ("%0i",), ((opaque,) * 8, (opaque,) * 8))
-
-    dom = ("e", "domain")
-    assert build("At", xs).signature == (
-        "c", ((("i", 1), ("i", 2), ("i", 3)) + (dom,) * 5,
-              (("i", 4),) + (dom,) * 7))
-    battery = (0, 1, 2, -1, 3, 5, -2, 4)
-    plus = [tuple(("i", b + n) for b in battery) for n in battery]
-    assert build("Adder", one).signature == ("c", (plus[1], plus[1]))
-    assert build("Adder", ph).signature == \
-        ("f", ("%0i",), (tuple(plus), tuple(plus)))
-
-
-def test_opaque_arrow_values_with_different_terms_stay_apart():
-    # (Loop xs 0 0) and (Loop xs 0 1) return different functions of a
-    # function; neither can be probed on the battery, so each keeps its own
-    # entry
-    task = Task("t", (("xs", INT_LIST),), (({"xs": [1, 2, 3]}, [1]),))
-    store = init_store(task, ARROW_LIB, LIMITS)
-    xs, zero, one, _ph = store.entries
-    loop = ARROW_LIB.op("Loop")
-    built = []
-    for hi in (zero, one):
-        tup = tuple(zip((xs, zero, hi), loop.signature.params))
-        entry, is_new, _ = store.add(build_entry(loop, tup, task, LIMITS,
-                                                 ARROW_LIB.prims(), store))
-        assert is_new
-        built.append(entry)
-    assert [format_term(e.term) for e in built] == \
-        ["(Loop xs 0 0)", "(Loop xs 0 1)"]
-    assert all(store.entries[e.index] is e for e in built)
-
-
 def test_admissible_requires_one_allowed_set():
-    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, (n,), free_vars=(n,))
+    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, (n,), free_vars=(n,),
+                       ids=())
             for n in ("%0i", "%1i"))
     allowed = [frozenset({"%0i"}), frozenset({"%1i"})]
     assert admissible(((a, INT), (a, INT)), allowed)
@@ -206,16 +124,22 @@ def test_admissible_requires_one_allowed_set():
 # Value store
 # ---------------------------------------------------------------------------
 
-def _entry(text, weight, ty):
+def _entry(store, text, weight, ty):
     t = parse_term(text, NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS, ty=ty)
-    return ValueEntry(t, weight, ty, sig)
+    outs = eval_outcomes(t, TASK, LIMITS, PRIMS)
+    return ValueEntry(t, weight, ty, sig_from_outcomes(outs),
+                      ids=store.ids_of(outs, ()))
+
+
+def _stored(store, sig):
+    """The entry of `store` with signature `sig`, or None."""
+    return next((e for e in store.entries if e.signature == sig), None)
 
 
 def test_store_deduplicates_by_signature():
     store = ValueStore()
-    a, new_a, _ = store.add(_entry("(Add (Head xs) 1)", 3, INT))
-    b, new_b, improved = store.add(_entry("(Add 1 (Head xs))", 3, INT))
+    a, new_a, _ = store.add(_entry(store, "(Add (Head xs) 1)", 3, INT))
+    b, new_b, improved = store.add(_entry(store, "(Add 1 (Head xs))", 3, INT))
     assert new_a and not new_b and not improved
     assert a is b
     assert len(store.entries) == 1
@@ -223,8 +147,9 @@ def test_store_deduplicates_by_signature():
 
 def test_store_keeps_lighter_term():
     store = ValueStore()
-    store.add(_entry("(Add (Head xs) (Subtract 1 0))", 5, INT))
-    canon, is_new, improved = store.add(_entry("(Add (Head xs) 1)", 3, INT))
+    store.add(_entry(store, "(Add (Head xs) (Subtract 1 0))", 5, INT))
+    canon, is_new, improved = store.add(_entry(store, "(Add (Head xs) 1)", 3,
+                                               INT))
     assert not is_new and improved
     assert canon.weight == 3
     assert format_term(canon.term) == "(Add (Head xs) 1)"
@@ -234,10 +159,10 @@ def test_store_improvement_takes_the_new_terms_steps():
     # a lighter term may take more steps; entries built on the improved
     # entry evaluate its new term
     store = ValueStore()
-    heavy = _entry("(Add (Head xs) (Subtract 1 0))", 5, INT)
+    heavy = _entry(store, "(Add (Head xs) (Subtract 1 0))", 5, INT)
     heavy.steps = 7
     store.add(heavy)
-    light = _entry("(Add (Head xs) 1)", 3, INT)
+    light = _entry(store, "(Add (Head xs) 1)", 3, INT)
     light.steps = 9
     canon, _is_new, improved = store.add(light)
     assert improved and canon is heavy and canon.steps == 9
@@ -301,8 +226,8 @@ def test_build_entry_outcomes_match_full_evaluation():
     entry = build_entry(take, ((xs, INT_LIST), (n, INT)), task, LIMITS, PRIMS,
                         store)
     direct = eval_outcomes(entry.term, task, LIMITS, PRIMS)
-    assert entry.outcomes == direct
-    assert entry.signature == sig_from_outcomes(entry.term, direct)
+    assert store.outcomes_of(entry.ids, ()) == direct
+    assert entry.signature == sig_from_outcomes(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +347,6 @@ def test_solution_weight_matches_term_size():
     assert res.solution.weight == term_size(res.solution.term)
 
 
-def test_concrete_signature_formats_opaque_terms_only_for_function_values():
-    t = parse_term("(Head xs)", NAMES)
-    outs = (("i", 1), ("e", "domain"))
-    assert sig_from_outcomes(t, outs) == ("v", (("i", 1), ("e", "domain")))
-    fn = (("fn", len), ("i", 2))
-    assert sig_from_outcomes(t, fn) == \
-        ("v", (("opaque", "(Head xs)"), ("i", 2)))
-
-
 # ---------------------------------------------------------------------------
 # Cached candidate building vs plain evaluation
 # ---------------------------------------------------------------------------
@@ -490,16 +406,17 @@ def test_cached_build_entry_matches_plain_evaluation(data):
         # stored once
         t = parse_term(text, names)
         fv = ("%0i",) if text == "%0i" else ()
-        return store.get(compute_signature(t, task, limits, prims, fv))
+        return _stored(store, compute_signature(t, task, limits, prims, fv))
 
     def build(name, *args):
         op = lib.op(name)
         tup = tuple(zip(args, op.signature.params))
         e = build_entry(op, tup, task, limits, prims, store)
         plain = eval_outcomes(e.term, task, limits, prims, e.free_vars)
-        assert e.outcomes == plain, format_term(e.term)
+        assert store.outcomes_of(e.ids, e.free_vars) == plain, \
+            format_term(e.term)
         assert e.signature == compute_signature(e.term, task, limits, prims,
-                                                e.free_vars, e.ty)
+                                                e.free_vars)
         # `steps` bounds the steps of every evaluation that completes
         assert e.steps >= _evaluated(e.term, task, limits, prims,
                                      e.free_vars)[1]
@@ -533,14 +450,16 @@ class _Misses(dict):
 
 def _unprobed(store):
     """`store`, with an id probe that always misses, so build_entry builds
-    every candidate in full."""
+    every candidate in full; ValueStore.add reads the index through
+    setdefault, which still finds."""
     store.by_ids = _Misses(store.by_ids)
     return store
 
 
 def _store_state(store):
     return ([(format_term(e.term), e.weight, e.ty, e.signature, e.free_vars,
-              e.index, e.provenance, e.outcomes, e.steps)
+              e.index, e.provenance,
+              store.outcomes_of(e.ids, e.free_vars), e.steps)
              for e in store.entries], store.improved)
 
 
@@ -563,7 +482,8 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
     def entry(text):
         t = parse_term(text, names)
         fv = ("%0i",) if "%0i" in text else ()
-        return probed.get(compute_signature(t, task, limits, prims, fv))
+        return _stored(probed,
+                       compute_signature(t, task, limits, prims, fv))
 
     def build(name, *args):
         op = lib.op(name)
@@ -572,8 +492,8 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
         got = build_entry(op, tup, task, limits, prims, probed)
         full = build_entry(op, twin, task, limits, prims, ref)
         if got.index < 0:  # built in full
-            assert got.outcomes == eval_outcomes(got.term, task, limits,
-                                                 prims, got.free_vars)
+            assert probed.outcomes_of(got.ids, got.free_vars) == \
+                eval_outcomes(got.term, task, limits, prims, got.free_vars)
         else:  # a duplicate, at the stored weight or more
             assert probed.entries[got.index] is got
             assert got.signature == full.signature
@@ -617,12 +537,10 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
-    """Over random growth rounds, every entry whose outcomes are plain (a
-    base-typed term, no function value) has ids that decode through the
-    store's intern table to its outcomes, flattened over the contexts, and
-    every other entry has none; by_ids holds exactly the entries with ids.
-    Each candidate's id probe finds what by_sig holds under the
-    signature of the candidate's term, evaluated in full."""
+    """Over random growth rounds, every entry's ids decode through the
+    store's intern table to the outcomes of its term, evaluated in full,
+    and by_ids holds exactly the entries.  Each candidate's id probe finds
+    the stored entry with the signature of the candidate's term."""
     lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
     limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
     task = data.draw(_repeating_tasks())
@@ -642,29 +560,20 @@ def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
             for e, pty in tup:
                 if not isinstance(pty, Arrow):
                     fv.update(e.free_vars)
-            sig = compute_signature(term, task, limits, prims, tuple(fv),
-                                    op.signature.ret)
+            sig = compute_signature(term, task, limits, prims, tuple(fv))
             got = build_entry(op, tup, task, limits, prims, store)
-            stored = store.get(sig)
+            stored = _stored(store, sig)
             if got.index >= 0:  # the probe's find
                 assert got is stored
             else:
                 assert got.signature == sig
                 assert stored is None or stored.weight > got.weight
             store.add(got)
-        with_ids = 0
         for e in store.entries:
-            flat = e.outcomes
-            if e.free_vars and flat is not None:
-                flat = tuple(o for row in flat for o in row)
-            if flat is not None and not isinstance(e.ty, Arrow) and \
-                    all(o[0] != "fn" for o in flat):
-                assert tuple(store.values[i] for i in e.ids) == flat
-                assert store.by_ids[(e.free_vars, e.ids)] is e
-                with_ids += 1
-            else:
-                assert e.ids is None
-        assert len(store.by_ids) == with_ids
+            assert store.outcomes_of(e.ids, e.free_vars) == eval_outcomes(
+                e.term, task, limits, prims, e.free_vars)
+            assert store.by_ids[(e.free_vars, e.ids)] is e
+        assert len(store.by_ids) == len(store.entries)
 
 
 def test_search_builds_entries_only_for_new_or_improved_values(monkeypatch):
@@ -730,13 +639,14 @@ def test_application_table_follows_an_improved_lambda():
     assert is_new and body.weight == 8
     xs = stored("xs")
     first = build("Map", lam, xs)[0]
-    assert first.outcomes == (("l", (6, 3)), ("l", (6,)))
+    assert store.outcomes_of(first.ids, ()) == (("l", (6, 3)), ("l", (6,)))
     better, (canon, _, improved) = build("Add", ph, one)
     assert canon is lam and improved and lam.weight == better.weight == 2
     again = build("Map", lam, xs)[0]
     assert format_term(again.term) == "(Map (lam (Add $0 1)) xs)"
-    assert again.outcomes == eval_outcomes(again.term, task, LIMITS, PRIMS)
-    assert again.outcomes == (("l", (8, 3)), ("l", (10,)))
+    outcomes = store.outcomes_of(again.ids, ())
+    assert outcomes == eval_outcomes(again.term, task, LIMITS, PRIMS)
+    assert outcomes == (("l", (8, 3)), ("l", (10,)))
 
 
 def test_application_table_pins_primitive_calls(monkeypatch):
@@ -854,7 +764,8 @@ def _improve(store, data):
     e = heavy[data.draw(st.integers(0, len(heavy) - 1))]
     lighter = data.draw(st.integers(0, e.weight - 1))
     _canon, is_new, improved = store.add(
-        ValueEntry(e.term, lighter, e.ty, e.signature, e.free_vars))
+        ValueEntry(e.term, lighter, e.ty, e.signature, e.free_vars,
+                   ids=e.ids))
     assert improved and not is_new and e.weight == lighter
 
 
@@ -945,15 +856,13 @@ def test_selection_breaks_rounded_score_ties_like_reference():
 
 def reference_candidates_for(store, pty):
     """candidates_for as a fresh filter of the store's entries by type."""
-    out = []
     if isinstance(pty, Arrow):
         names = arrow_placeholder_names(pty)
-        out = [e for e in store.of_type(pty) if not e.free_vars]
-        if names is not None:
-            out += [e for e in store.of_type(pty.ret)
-                    if set(e.free_vars) <= set(names)]
-        return sorted(out, key=lambda e: e.index)
-    return [e for e in store.of_type(pty)
+        if names is None:
+            return []
+        return [e for e in store.by_ty.get(pty.ret, [])
+                if set(e.free_vars) <= set(names)]
+    return [e for e in store.by_ty.get(pty, [])
             if not e.free_vars or any(set(e.free_vars) <= s
                                       for s in store.allowed)]
 
@@ -963,21 +872,12 @@ def reference_candidates_for(store, pty):
 def test_incremental_candidates_match_fresh_filter(data):
     params = sorted({pty for op in DIFF_LIB.operations
                      for pty in op.signature.params}, key=repr)
-    # concrete function values, as an arrow-returning operation would add:
-    # an arrow parameter's list then merges two sources
-    functions = [(parse_term(text, NAMES), pty) for text, pty in (
-        ("(lam $0)", DIFF_LIB.op("Map").signature.params[0]),
-        ("IsEven", DIFF_LIB.op("Filter").signature.params[0]),
-        ("Add", DIFF_LIB.op("ZipWith").signature.params[0]))]
     # one store per allowed set: the library's, and none
     for allowed in (lib_placeholders(DIFF_LIB)[1], []):
         store = init_store(TASK, DIFF_LIB, LIMITS)
         store.allowed = allowed
         for _round in range(data.draw(st.integers(1, 4))):
             _grow(store, data, max_steps=10)
-            for _ in range(data.draw(st.integers(0, 2))):
-                term, pty = data.draw(st.sampled_from(functions))
-                store.add(ValueEntry(term, 1, pty, ("c", len(store.entries))))
             for _ in range(data.draw(st.integers(0, 2))):
                 _improve(store, data)
             for pty in params:
