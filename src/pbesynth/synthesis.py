@@ -202,9 +202,12 @@ class ValueStore:
     or lowers an existing entry's weight in place, and logs the index of
     every entry it improves in `improved`.
 
-    A value is an entry's (free placeholders, ids): its outcomes in every
-    context, as ids of the store's intern table, which gives every outcome
-    met a small int id.  `by_ids` indexes the entries by value.  Ids, and
+    A value is an entry's (type, free placeholders, ids), the ids being its
+    outcomes in every context as ids of the store's intern table, which
+    gives every outcome met a small int id.  The type is part of it: terms
+    of different types can fail the same way in every context, and one
+    must not stand in for the other.  `by_ids` indexes the entries by
+    value.  Ids, and
     so the build table, mean something only against this store's table.
 
     `allowed` lists the placeholder sets usable together in one term: those
@@ -273,7 +276,8 @@ class ValueStore:
             # this store's entry for its value, which build_entry returns
             # for a duplicate
             return entry, False, False
-        old = self.by_ids.setdefault((entry.free_vars, entry.ids), entry)
+        old = self.by_ids.setdefault((entry.ty, entry.free_vars, entry.ids),
+                                     entry)
         if old is entry:
             entry.index = len(self.entries)
             self.entries.append(entry)
@@ -656,7 +660,7 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
         ids = store.ids_of(outcomes, fv)
     else:
         ids, steps = found
-    old = store.by_ids.get((fv, ids))
+    old = store.by_ids.get((plan.ret, fv, ids))
     if old is not None and old.weight <= weight:
         return old
     if outcomes is None:

@@ -22,14 +22,14 @@ from pbesynth.guidance import (
 )
 from pbesynth.lang import (
     INT, INT_LIST, Apply, Arrow, EvalLimits, PrimRef, bind_input_vars,
-    format_term, invoke_prim, parse_term, parse_type, term_size,
+    format_term, infer_type, invoke_prim, parse_term, parse_type, term_size,
 )
 from pbesynth.synthesis import (
     SearchConfig, UniformScorer, ValueEntry, ValueStore, _evaluated,
     _sampler_dists, admissible, arg_term, arrow_placeholder_names,
     beam_select_args, build_entry, compute_signature, eval_outcomes,
-    exhaustive_search, init_store, lib_placeholders, make_context, search,
-    sig_from_outcomes, signature_solves,
+    exhaustive_search, init_store, lib_placeholders, make_context,
+    placeholder_info, search, sig_from_outcomes, signature_solves,
 )
 from pbesynth.task import Task, load_tasks
 
@@ -131,9 +131,11 @@ def _entry(store, text, weight, ty):
                       ids=store.ids_of(outs, ()))
 
 
-def _stored(store, sig):
-    """The entry of `store` with signature `sig`, or None."""
-    return next((e for e in store.entries if e.signature == sig), None)
+def _stored(store, sig, ty=None):
+    """The entry of `store` with signature `sig`, and type `ty` unless it is
+    None, or None."""
+    return next((e for e in store.entries if e.signature == sig
+                 and ty in (None, e.ty)), None)
 
 
 def test_store_deduplicates_by_signature():
@@ -166,6 +168,35 @@ def test_store_improvement_takes_the_new_terms_steps():
     light.steps = 9
     canon, _is_new, improved = store.add(light)
     assert improved and canon is heavy and canon.steps == 9
+
+
+def test_store_keeps_equal_outcomes_of_different_types_apart():
+    # an IntList body and an Int body that fail the same way in every
+    # context are different values: the lighter Int term must not replace
+    # the IntList entry's term
+    task = next(t for t in load_tasks(os.path.join(
+        os.path.dirname(pbesynth.__file__), "data", "micro_tasks.txt"))
+        if t.name == "motif_00")
+    store = init_store(task, MICRO_LIB, LIMITS)
+    prims = MICRO_LIB.prims()
+
+    def build(name, *args):
+        op = MICRO_LIB.op(name)
+        return store.add(build_entry(op, tuple(zip(args, op.signature.params)),
+                                     task, LIMITS, prims, store))
+
+    def stored(text):
+        return next(e for e in store.entries if format_term(e.term) == text)
+
+    xs, ph, nil = stored("xs"), stored("%0i"), stored("[]")
+    head = build("Head", nil)[0]
+    drop = build("Drop", build("Take", xs, ph)[0], head)[0]
+    add, is_new, improved = build("Add", ph, head)
+    assert drop.signature == add.signature
+    assert is_new and not improved and add is not drop
+    assert (format_term(drop.term), drop.ty) == \
+        ("(Drop (Take xs %0i) (Head []))", INT_LIST)
+    assert (format_term(add.term), add.ty) == ("(Add %0i (Head []))", INT)
 
 
 def test_init_store_seeds_inputs_constants_placeholders():
@@ -540,7 +571,8 @@ def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
     """Over random growth rounds, every entry's ids decode through the
     store's intern table to the outcomes of its term, evaluated in full,
     and by_ids holds exactly the entries.  Each candidate's id probe finds
-    the stored entry with the signature of the candidate's term."""
+    the stored entry with the type and the signature of the candidate's
+    term."""
     lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
     limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
     task = data.draw(_repeating_tasks())
@@ -562,7 +594,7 @@ def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
                     fv.update(e.free_vars)
             sig = compute_signature(term, task, limits, prims, tuple(fv))
             got = build_entry(op, tup, task, limits, prims, store)
-            stored = _stored(store, sig)
+            stored = _stored(store, sig, op.signature.ret)
             if got.index >= 0:  # the probe's find
                 assert got is stored
             else:
@@ -572,8 +604,35 @@ def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
         for e in store.entries:
             assert store.outcomes_of(e.ids, e.free_vars) == eval_outcomes(
                 e.term, task, limits, prims, e.free_vars)
-            assert store.by_ids[(e.free_vars, e.ids)] is e
+            assert store.by_ids[(e.ty, e.free_vars, e.ids)] is e
         assert len(store.by_ids) == len(store.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grown_store_entries_typecheck_at_their_type(data):
+    """After random growth rounds every entry's term typechecks at the
+    entry's type.  Under a small step budget most terms run out of steps
+    in every context, so entries of different types often have the same
+    outcomes."""
+    lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
+    limits = EvalLimits(max_steps=data.draw(st.integers(1, 4)))
+    task = data.draw(_repeating_tasks())
+    prims = lib.prims()
+    symbols = lib.symbol_types()
+    store = init_store(task, lib, limits)
+    for _round in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(0, 25))):
+            op = data.draw(st.sampled_from(lib.operations))
+            tup = tuple((data.draw(st.sampled_from(
+                store.candidates_for(pty))), pty)
+                for pty in op.signature.params)
+            if admissible(tup, store.allowed):
+                store.add(build_entry(op, tup, task, limits, prims, store))
+        for e in store.entries:
+            env = dict(task.input_types)
+            env.update((n, placeholder_info(n)[1]) for n in e.free_vars)
+            infer_type(e.term, env, symbols, expected=e.ty)
 
 
 def test_search_builds_entries_only_for_new_or_improved_values(monkeypatch):
@@ -606,10 +665,12 @@ def test_search_builds_entries_only_for_new_or_improved_values(monkeypatch):
     r = search(task, MICRO_LIB, UniformScorer(), cfg)
     assert len(adds) == seeds + r.candidates_evaluated
     assert len(built) == seeds + sum(adds[seeds:])
-    # 10 seeds and 823 new or improved entries; without the signature
-    # probe each of the 2,146 candidates built one
+    # 10 seeds and 824 new or improved entries; without the probe each of
+    # the 2,150 candidates built one.  Before the store key held the type,
+    # an Int and an IntList value with the same outcomes were one entry:
+    # 2,146 candidates and 823 entries.
     assert (r.solved, r.candidates_evaluated, seeds, len(built)) == \
-        (True, 2146, 10, 833)
+        (True, 2150, 10, 834)
 
 
 def test_application_table_follows_an_improved_lambda():
@@ -656,7 +717,8 @@ def test_application_table_pins_primitive_calls(monkeypatch):
     in (before it, 20,483 and 30,466 primitive calls), when it took the
     lifts (before, 1,061 and 241 lifts) and when a lambda that reads no
     task input stopped being keyed by example (before, 2,099 and 2,499
-    calls), and the candidate counts are unchanged."""
+    calls), and the candidate counts are unchanged.  The search's
+    candidate count was 2,146 before the store key held the type."""
     calls, lifts = [], []
 
     def counting(*args):
@@ -677,7 +739,7 @@ def test_application_table_pins_primitive_calls(monkeypatch):
                        restarts_enabled=False)
     r = search(task, MICRO_LIB, UniformScorer(), cfg)
     assert (r.solved, r.candidates_evaluated, len(calls), len(lifts)) == \
-        (True, 2146, 1996, 40)
+        (True, 2150, 1996, 40)
     calls.clear()
     lifts.clear()
     ex = exhaustive_search(task, MICRO_LIB, max_weight=4, stop_on_solve=False)
@@ -1035,22 +1097,22 @@ STEP_LIB = sub_dsl("Add", "Sum", "Range", "Map", "Filter", "IsEven")
 # (library, trained scorer?, SearchConfig keywords, {task: (solved, program,
 # candidates_evaluated, restarts, elapsed, store size)}); every search runs
 # on the virtual clock.  Recorded before the beam and the sampling round
-# shared one executor.
+# shared one executor, and again when the store key took the entry's type.
 PINNED_SEARCHES = [
     # restarts, with sampling rounds whenever the beam stalls
     (FULL, False, dict(beam_size=4, restart_interval=0.15,
                        per_task_timeout=0.5, max_weight=6),
      {"reverse": (True, "(Reverse xs)", 37, 0, 0.037, 36),
-      "succ_all": (False, None, 458, 2, 0.5, 59)}),
+      "succ_all": (False, None, 457, 2, 0.5, 59)}),
     (FULL, True, dict(beam_size=5, restart_interval=0.2,
                       per_task_timeout=0.5, max_weight=7),
      {"sort": (True, "(Sort xs)", 50, 0, 0.05, 42),
-      "succ_all": (False, None, 452, 1, 0.5, 135)}),
-    # sampling finds the solution after a restart
+      "succ_all": (False, None, 451, 1, 0.5, 136)}),
+    # restarts and sampling rounds on a small library
     (SMALL_LIB, False, dict(beam_size=6, restart_interval=0.25,
                             per_task_timeout=1.0, max_weight=5),
-     {"succ_all": (True, "(Map (lam (Add 1 $0)) xs)", 152, 1, 0.502, 47),
-      "double_all": (False, None, 315, 3, 1.0, 46)}),
+     {"succ_all": (False, None, 314, 3, 1.0, 45),
+      "double_all": (True, "(Map (lam (Add $0 $0)) xs)", 69, 0, 0.215, 47)}),
     (SMALL_LIB, False, dict(beam_size=3, restart_interval=0.15,
                             per_task_timeout=1.0, max_weight=3,
                             stop_on_solve=False),
@@ -1060,13 +1122,13 @@ PINNED_SEARCHES = [
     (STEP_LIB, True, dict(beam_size=10, restart_interval=0.25,
                           per_task_timeout=1.0, max_weight=8,
                           eval_limits=EvalLimits(max_steps=30)),
-     {"running_sum": (False, None, 603, 3, 1.0, 62),
+     {"running_sum": (False, None, 599, 3, 1.0, 62),
       "double_all": (False, None, 617, 3, 1.0, 61)}),
     # unbounded search with restarts
     (SMALL_LIB, False, dict(beam_size=None, restart_interval=0.1,
                             per_task_timeout=1.0, max_weight=4,
                             stop_on_solve=False),
-     {"succ_all": (True, "(Map (lam (Add $0 1)) xs)", 1000, 9, 1.0, 50)}),
+     {"succ_all": (True, "(Map (lam (Add $0 1)) xs)", 1000, 9, 1.0, 51)}),
     (MICRO_LIB, False, dict(beam_size=None, restart_interval=0.2,
                             per_task_timeout=0.6, max_weight=5),
      {"motif_00": (False, None, 600, 2, 0.6, 114)}),
