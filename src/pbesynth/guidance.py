@@ -223,7 +223,7 @@ def _random_inputs(decls, rng: random.Random):
 
 def _sig_outputs(entry):
     """Concrete per-example values from a value signature, or None if any
-    example errored or gave a function."""
+    example errored."""
     sig = entry.signature
     if not sig or sig[0] != "v" or any(o[0] not in ("i", "b", "l")
                                        for o in sig[1]):

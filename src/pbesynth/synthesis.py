@@ -1,13 +1,13 @@
 """Execution-guided bottom-up search over a value store.
 
-Every explored subprogram becomes a ValueEntry keyed by its semantic
-signature (per-example outputs, with errors folded in).  Lambda-typed
-arguments are built by *lifting*: the store holds bodies over reserved
-placeholder variables (``%0i`` = first Int parameter, ``%1i``, ``%0l``, ...),
-and a body whose free placeholders fit an operation's arrow parameter is
-wrapped in a Lam at argument-construction time.  Placeholder occurrences and
-bound variables carry zero weight, so a lifted lambda weighs exactly its
-body.
+Every explored subprogram becomes a ValueEntry keyed by its type and its
+semantic signature (per-example outputs, with errors folded in).  The store
+holds no function values: lambda-typed arguments are built by *lifting*.
+The store holds bodies over reserved placeholder variables (``%0i`` = first
+Int parameter, ``%1i``, ``%0l``, ...), and a body whose free placeholders
+fit an operation's arrow parameter is wrapped in a Lam at
+argument-construction time.  Placeholder occurrences and bound variables
+carry zero weight, so a lifted lambda weighs exactly its body.
 """
 
 from __future__ import annotations
@@ -207,14 +207,15 @@ class ValueStore:
     gives every outcome met a small int id.  The type is part of it: terms
     of different types can fail the same way in every context, and one
     must not stand in for the other.  `by_ids` indexes the entries by
-    value.  Ids, and
-    so the build table, mean something only against this store's table.
+    value.  Ids, and so the build table, mean something only against this
+    store's table.
 
     `allowed` lists the placeholder sets usable together in one term: those
     of the library the store searches (lib_placeholders).
 
     The store also owns build_entry's build table: a _Plan per operation
-    name, and lifted lambdas (arg_term)."""
+    name, and lifted lambdas (arg_term).  A search releases it before it
+    returns the store (release_build_table)."""
 
     def __init__(self, allowed=()):
         self.allowed = list(allowed)
@@ -238,6 +239,13 @@ class ValueStore:
 
     def __len__(self):
         return len(self.entries)
+
+    def release_build_table(self):
+        """Drop the build table.  The entries and the intern table stay, so
+        ids still stand for outcomes one to one, and a later build_entry
+        starts a new table."""
+        self.plans.clear()
+        self.lifts.clear()
 
     def intern(self, outcome) -> int:
         """The id of `outcome` in this store's intern table."""
@@ -842,13 +850,18 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                       limits: EvalLimits = EvalLimits(),
                       stop_on_solve: bool = True) -> ExhaustiveResult:
     """Enumerate all semantically distinct values of weight <= max_weight,
-    nondecreasing in weight, deduplicating by signature."""
+    nondecreasing in weight, deduplicating by value (ValueStore)."""
     prims = lib.prims()
     store = init_store(task, lib, limits)
     solution = _first_solution(store, task)
     candidates = 0
+
+    def result(timed_out=False):
+        store.release_build_table()
+        return ExhaustiveResult(store, solution, candidates, timed_out)
+
     if solution is not None and stop_on_solve:
-        return ExhaustiveResult(store, solution, candidates)
+        return result()
     start = time.monotonic()
     for w in range(1, max_weight + 1):
         # (entry, type) pairs per parameter type and entry weight.  A
@@ -869,8 +882,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                 for tup in product(*lists):
                     if timeout is not None and \
                             time.monotonic() - start > timeout:
-                        return ExhaustiveResult(store, solution, candidates,
-                                                timed_out=True)
+                        return result(timed_out=True)
                     if not admissible(tup, store.allowed):
                         continue
                     entry = build_entry(op, tup, task, limits, prims, store)
@@ -879,9 +891,8 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                     if is_new and signature_solves(canon.signature, task):
                         solution = canon
                         if stop_on_solve:
-                            return ExhaustiveResult(store, solution,
-                                                    candidates)
-    return ExhaustiveResult(store, solution, candidates)
+                            return result()
+    return result()
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +965,7 @@ class _Clock:
 def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult:
     """Round-robin over operations: beam-selected argument tuples first, a
     unique-sampling round whenever the beam stalls, periodic restarts, and
-    signature-based deduplication throughout.
+    deduplication by value (ValueStore) throughout.
 
     Both rounds are tuple sources that one executor, `run`, drains."""
     prims = lib.prims()
@@ -1074,6 +1085,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             # under max_weight is exhausted (restarts, if any, ran above)
             break
 
+    store.release_build_table()
     solved = solution is not None
     return SolveResult(solved, solution.term if solved else None, clock.now(),
                        candidates, restarts, store)

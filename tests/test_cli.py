@@ -10,7 +10,10 @@ import pytest
 import pbesynth
 from pbesynth.cli import ConfigError, build_run_config, main, read_config_file
 from pbesynth.harness import RunConfig
-from pbesynth.dsl import DSLibrary, default_list_dsl, save_library
+from pbesynth.dsl import (
+    DSLibrary, default_list_dsl, load_library, save_library,
+)
+from pbesynth.lang import parse_type
 
 TASKS_TEXT = """\
 name: rev
@@ -260,6 +263,26 @@ def test_ill_typed_library_exits_2(tmp_path, tasks_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "fn_0" in err
+
+
+def test_library_with_function_returning_op_loads_but_exits_2(
+        tmp_path, tasks_file, small_library, capsys):
+    # the value store holds no function values, so a library with an
+    # operation that returns one loads but cannot be searched
+    path = tmp_path / "library.txt"
+    with open(small_library) as fh:
+        text = fh.read()
+    path.write_text(text + "op fn_0 : (Int) -> (Int) -> Int = "
+                    "(lam (lam (Add $1 $0))) ; iter 0\n")
+    lib = load_library(str(path))
+    assert lib.op("fn_0").signature == parse_type("(Int) -> (Int) -> Int")
+    for argv in (["solve", "--tasks", tasks_file],
+                 ["trace-gen", "--output-dir", str(tmp_path / "out")]):
+        code = run_cli(*argv, "--library", str(path), *FAST_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "fn_0" in err
 
 
 def test_truncated_traces_exit_2(tmp_path, capsys):

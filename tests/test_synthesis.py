@@ -281,6 +281,21 @@ def test_exhaustive_store_is_weight_minimal():
         assert e.weight <= 4
 
 
+def test_searches_return_stores_without_their_build_table():
+    lib = sub_dsl("Add", "Map", "Reverse")
+    ex = exhaustive_search(TASK, lib, max_weight=5, stop_on_solve=False)
+    cfg = SearchConfig(per_task_timeout=0.2, restart_interval=0.2,
+                       virtual_clock=True, stop_on_solve=False)
+    sr = search(TASK, lib, UniformScorer(), cfg)
+    for store in (ex.store, sr.store):
+        assert len(store) > 20
+        assert not store.plans and not store.lifts
+        # the intern table stays: ids still decode
+        for e in store.entries:
+            assert store.outcomes_of(e.ids, e.free_vars) == eval_outcomes(
+                e.term, TASK, LIMITS, PRIMS, e.free_vars)
+
+
 def test_exhaustive_respects_timeout_flag():
     lib = sub_dsl("Add", "Subtract", "Map", "ZipWith")
     res = exhaustive_search(TASK, lib, max_weight=9, timeout=0.05,
