@@ -1,5 +1,6 @@
 """Scorer, trace generation, and training tests."""
 
+import hashlib
 import math
 
 import pytest
@@ -25,6 +26,17 @@ TASK = Task("t", (("xs", INT_LIST),),
 def sub_dsl(*names):
     return DSLibrary([o for o in FULL.operations if o.name in names],
                      FULL.constants)
+
+
+def test_trace_file_is_pinned(tmp_path):
+    # every feature vector of a small trace set, byte for byte
+    data = generate_traces(FULL, TraceGenConfig(max_weight=3, episodes=3,
+                                                episode_timeout=1e9))
+    path = tmp_path / "traces.txt"
+    save_traces(data, path)
+    assert (len(data.episodes), len(data.steps)) == (36, 86)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "a581addbb144afd657372c04eea2a78b111a7b2c4d74cc3e48a797172b6faa5d"
 
 
 def _ctx_and_entries():

@@ -340,6 +340,21 @@ def test_search_solves_trivial_task_from_store_seed():
     assert r.solved and format_term(r.program) == "xs"
 
 
+@pytest.mark.parametrize("outputs,want", [([[1, 2], [3]], "xs"),
+                                          ([0, 0], "0")])
+def test_a_seed_that_solves_is_returned_without_a_candidate(outputs, want):
+    # the task's input and the library constant 0 are seeds: both searches
+    # return them before building anything
+    task = Task("t", (("xs", INT_LIST),),
+                tuple(({"xs": xs}, out)
+                      for xs, out in zip([[1, 2], [3]], outputs)))
+    r = search(task, FULL, UniformScorer(), SearchConfig(virtual_clock=True))
+    assert (r.solved, format_term(r.program), r.candidates_evaluated) == \
+        (True, want, 0)
+    ex = exhaustive_search(task, FULL, max_weight=5)
+    assert (format_term(ex.solution.term), ex.candidates) == (want, 0)
+
+
 def test_search_agrees_with_exhaustive_on_signature_sets():
     lib = sub_dsl("Add", "Subtract", "Head", "Take")
     rng = random.Random(5)
