@@ -31,25 +31,25 @@ def extract_features(op_name, prefix, candidate, ctx: ScoreContext):
     """Feature vector for scoring `candidate` at one argument position.
 
     `prefix` holds the entries already chosen for earlier positions.
-    Features 0-9 depend only on the candidate entry (its signature, type,
-    free placeholders and weight) and the task's outputs; 10 and 11 are
-    the choice features (_choice_features)."""
-    sig = candidate.signature
+    Features 0-9 depend only on the candidate entry (its outcomes, which
+    `ctx.values` decodes, type, free placeholders and weight) and the
+    task's outputs; 10 and 11 are the choice features (_choice_features).
+    A lambda body's outcome features are 0."""
     n = 0
     eq = contained = samelen = errs = 0
-    if sig and sig[0] == "v":
-        outcomes = sig[1]
-        n = len(outcomes)
-        for out, target in zip(outcomes, ctx.output_sig):
+    if not candidate.free_vars:
+        n = len(candidate.ids)
+        for out, target in zip(map(ctx.values.__getitem__, candidate.ids),
+                               ctx.output_sig):
             if out == target:
                 eq += 1
-            if out and out[0] == "e":
+            if out[0] == "e":
                 errs += 1
-            if target and target[0] == "l":
+            if target[0] == "l":
                 tvals = target[1]
-                if out and out[0] == "i" and out[1] in tvals:
+                if out[0] == "i" and out[1] in tvals:
                     contained += 1
-                elif out and out[0] == "l":
+                elif out[0] == "l":
                     if len(out[1]) == len(tvals):
                         samelen += 1
                     if all(x in tvals for x in out[1]):
@@ -221,14 +221,15 @@ def _random_inputs(decls, rng: random.Random):
     return out
 
 
-def _sig_outputs(entry):
-    """Concrete per-example values from a value signature, or None if any
-    example errored."""
-    sig = entry.signature
-    if not sig or sig[0] != "v" or any(o[0] not in ("i", "b", "l")
-                                       for o in sig[1]):
+def _outputs(entry, store):
+    """The per-example values of an entry of `store`, or None if it is a
+    lambda body or any example errored."""
+    if entry.free_vars:
         return None
-    return [runtime_value(o) for o in sig[1]]
+    outs = store.outcomes_of(entry.ids)
+    if any(o[0] == "e" for o in outs):
+        return None
+    return [runtime_value(o) for o in outs]
 
 
 def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
@@ -247,11 +248,11 @@ def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
                                   timeout=per_episode,
                                   limits=cfg.eval_limits,
                                   stop_on_solve=False).store
-        built = [e for e in store.entries
-                 if e.provenance is not None and _sig_outputs(e) is not None]
+        built = [e for e in store.entries if e.provenance is not None
+                 and _outputs(e, store) is not None]
         rng.shuffle(built)
         for target in built[:cfg.targets_per_episode]:
-            outs = _sig_outputs(target)
+            outs = _outputs(target, store)
             task = Task(f"trace-{len(data.episodes)}", decls,
                         tuple((inp, out) for (inp, _), out
                               in zip(examples, outs)),
@@ -271,7 +272,9 @@ def _emit_steps(data, ep_idx, entry, store, lib, task, rng, max_negatives):
     op = lib.op(op_name)
     chosen = [store.entries[idx] for idx in choices]
     for pos, (pty, pick) in enumerate(zip(op.signature.params, chosen)):
-        ctx = make_context(task, pos)
+        # the store's table, but not its feature memo: `task` is not the
+        # store's task
+        ctx = make_context(task, pos, store.values)
         prefix = tuple(chosen[:pos])
         positive = tuple(extract_features(op_name, prefix, pick, ctx))
         pool = [e for e in store.candidates_for(pty)

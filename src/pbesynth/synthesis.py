@@ -1,7 +1,9 @@
 """Execution-guided bottom-up search over a value store.
 
-Every explored subprogram becomes a ValueEntry keyed by its type and its
-semantic signature (per-example outputs, with errors folded in).  The store
+Every explored subprogram becomes a ValueEntry keyed by its value: its
+type, its free placeholders, and its outcome in every context (per-example
+outputs, with errors folded in) as ids of the store's intern table.  A
+candidate solves the task when that value is the task's outputs.  The store
 holds no function values: lambda-typed arguments are built by *lifting*.
 The store holds bodies over reserved placeholder variables (``%0i`` = first
 Int parameter, ``%1i``, ``%0l``, ...), and a body whose free placeholders
@@ -89,13 +91,16 @@ def arrow_placeholder_names(arrow: Arrow) -> Optional[list]:
 
 
 # ---------------------------------------------------------------------------
-# Outcomes and signatures
+# Outcomes
 # ---------------------------------------------------------------------------
 #
 # An outcome is what a term gives in one evaluation context: its value in
 # lang.canon_value's form (("i", v), ("b", v) or ("l", tuple)), or
-# ("e", kind) for an EvalError.  The store holds no function values (see
-# init_store), so a signature is the outcomes themselves.
+# ("e", kind) for an EvalError.  The contexts are the task's examples, or
+# for a term with free placeholders example x battery row, example-major.
+# A store keeps a term's outcomes as ids of its intern table
+# (ValueStore.intern); they are the term's value, and the store holds no
+# function values (see init_store).
 
 _tag = itemgetter(0)
 
@@ -105,59 +110,30 @@ def _evaluated(term: Term, task: Task, limits: EvalLimits, prims,
     """(eval_outcomes(...), steps): the outcomes, and the most steps an
     evaluation that did not run out of steps took (see ValueEntry.steps)."""
     most = 0
-
-    def once(bindings):
-        nonlocal most
-        ev = Evaluator(prims, bindings, limits)
-        try:
-            o = canon_value(evaluate(term, bindings, limits, prims, ev))
-        except EvalError as e:
-            if e.kind == "steps":
-                return ("e", "steps")
-            o = ("e", e.kind)
-        most = max(most, ev.steps)
-        return o
-
-    if free_vars:
-        var_info = [(n,) + placeholder_info(n) for n in free_vars]
-        outs = []
-        for inputs, _ in task.examples:
-            rows = []
-            for row in range(BATTERY_ROWS):
-                bindings = dict(inputs)
-                for n, pos, pty in var_info:
-                    bindings[n] = _battery_value(pty, row, pos)
-                rows.append(once(bindings))
-            outs.append(tuple(rows))
-        return tuple(outs), most
-    return tuple(once(dict(inputs)) for inputs, _ in task.examples), most
+    outs = []
+    var_info = [(n,) + placeholder_info(n) for n in free_vars]
+    for inputs, _ in task.examples:
+        for row in range(BATTERY_ROWS if free_vars else 1):
+            bindings = dict(inputs)
+            for n, pos, pty in var_info:
+                bindings[n] = _battery_value(pty, row, pos)
+            ev = Evaluator(prims, bindings, limits)
+            try:
+                outs.append(canon_value(evaluate(term, bindings, limits,
+                                                 prims, ev)))
+            except EvalError as e:
+                outs.append(("e", e.kind))
+                if e.kind == "steps":
+                    continue
+            most = max(most, ev.steps)
+    return tuple(outs), most
 
 
 def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
                   free_vars: Tuple[str, ...] = ()):
-    """Per-context outcomes of a term: one outcome per example, or per
+    """A term's outcome in each context: one per example, or one per
     example x battery row when the term has free placeholders."""
     return _evaluated(term, task, limits, prims, free_vars)[0]
-
-
-def sig_from_outcomes(outcomes, free_vars: Tuple[str, ...] = ()):
-    """The semantic signature of a term with these outcomes (see
-    eval_outcomes) and free placeholders: ("v", outcomes), or for a lambda
-    body ("f", sorted free placeholders, outcomes)."""
-    if free_vars:
-        return ("f", tuple(sorted(free_vars)), outcomes)
-    return ("v", outcomes)
-
-
-def compute_signature(term: Term, task: Task, limits: EvalLimits, prims,
-                      free_vars: Tuple[str, ...] = ()):
-    """Semantic signature of a term on the task's examples."""
-    return sig_from_outcomes(
-        eval_outcomes(term, task, limits, prims, free_vars), free_vars)
-
-
-def signature_solves(sig, task: Task) -> bool:
-    return bool(sig) and sig[0] == "v" and sig[1] == task.output_sig
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +145,14 @@ class ValueEntry:
     term: Term
     weight: int
     ty: Ty
-    signature: tuple
     free_vars: Tuple[str, ...] = ()  # sorted
     index: int = -1
     provenance: Optional[tuple] = None  # (op_name, (entry_idx, ...))
     # at least the steps `term` takes in any context whose evaluation does
     # not run out of steps; None if unknown
     steps: Optional[int] = None
-    # the per-context outcomes (see eval_outcomes) as ids of the intern
-    # table of the store the entry is built for (ValueStore.intern),
-    # flattened over the contexts
+    # the outcomes (see eval_outcomes) as ids of the intern table of the
+    # store the entry is built for (ValueStore.intern): the entry's value
     ids: tuple = field(kw_only=True)
     # whether every example's ids are those of example 0; and `ids` with
     # each repeated once per battery row (see _applied, which fills it)
@@ -208,7 +182,8 @@ class ValueStore:
     of different types can fail the same way in every context, and one
     must not stand in for the other.  `by_ids` indexes the entries by
     value.  Ids, and so the build table, mean something only against this
-    store's table.
+    store's table.  `goal` is the value that solves the store's task
+    (init_store).
 
     `allowed` lists the placeholder sets usable together in one term: those
     of the library the store searches (lib_placeholders).
@@ -220,6 +195,7 @@ class ValueStore:
     def __init__(self, allowed=()):
         self.allowed = list(allowed)
         self.by_ids: Dict[tuple, ValueEntry] = {}
+        self.goal: Optional[tuple] = None
         self.interned: Dict[tuple, int] = {}  # outcome -> id
         self.values: List[tuple] = []  # id -> outcome
         self.plans: Dict[str, _Plan] = {}
@@ -255,24 +231,17 @@ class ValueStore:
             values.append(outcome)
         return i
 
-    def ids_of(self, outcomes, free_vars) -> tuple:
-        """The ids of per-context outcomes (see eval_outcomes), flattened
-        over the contexts."""
-        if free_vars:
-            outcomes = chain.from_iterable(outcomes)
+    def ids_of(self, outcomes) -> tuple:
+        """The ids of outcomes (see eval_outcomes)."""
         return tuple(map(self.intern, outcomes))
 
-    def outcomes_of(self, ids, free_vars) -> tuple:
-        """Inverse of ids_of.  Rows that are the same in every example are
-        one tuple."""
-        outs = tuple(map(self.values.__getitem__, ids))
-        if not free_vars:
-            return outs
-        n = len(outs) // BATTERY_ROWS
-        row = outs[:BATTERY_ROWS]
-        if row * n == outs:
-            return (row,) * n
-        return tuple(zip(*[iter(outs)] * BATTERY_ROWS))
+    def outcomes_of(self, ids) -> tuple:
+        """Inverse of ids_of."""
+        return tuple(map(self.values.__getitem__, ids))
+
+    def solves(self, entry: ValueEntry) -> bool:
+        """Whether `entry` holds the goal value."""
+        return (entry.ty, entry.free_vars, entry.ids) == self.goal
 
     def add(self, entry: ValueEntry):
         """Insert or improve.  Returns (canonical_entry, is_new, improved).
@@ -438,7 +407,8 @@ def admissible(tup, allowed_sets) -> bool:
 
 def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
     """Seed a store with task inputs, library constants, and the lambda-body
-    placeholders the library's arrow parameters call for.
+    placeholders the library's arrow parameters call for.  The store's goal
+    is the task's outputs, interned before any seed.
 
     The store holds no function values: a lambda is only ever an argument,
     lifted from a stored body.  A library with an operation that returns a
@@ -451,12 +421,12 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
     prims = lib.prims()
     names, allowed = lib_placeholders(lib)
     store = ValueStore(allowed)
+    store.goal = (task.output_type, (), store.ids_of(task.output_sig))
 
     def seed(t, weight, ty, free_vars=()):
         outs, steps = _evaluated(t, task, limits, prims, free_vars)
-        store.add(ValueEntry(t, weight, ty, sig_from_outcomes(outs, free_vars),
-                             free_vars=free_vars, steps=steps,
-                             ids=store.ids_of(outs, free_vars)))
+        store.add(ValueEntry(t, weight, ty, free_vars=free_vars, steps=steps,
+                             ids=store.ids_of(outs)))
 
     for name, ty in task.input_types:
         t = InputVar(name)
@@ -475,19 +445,21 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
 @dataclass
 class ScoreContext:
     """What a scorer sees of an argument position besides the operation
-    and the candidate: the position and the task's outputs.  `features` is
-    the feature memo of the store the candidates come from
+    and the candidate: the position, the task's outputs, and the intern
+    table of the store the candidates come from (ValueStore.values), which
+    decodes their ids.  `features` is that store's feature memo
     (ValueStore.features), where a scorer may keep what it computes from
     an entry and the task alone under the entry's (index, weight); None
-    outside a store."""
+    when the task is not the store's."""
     position: int
     output_sig: tuple  # Task.output_sig
+    values: list
     features: Optional[dict] = None
 
 
-def make_context(task: Task, position: int,
+def make_context(task: Task, position: int, values: list,
                  features: Optional[dict] = None) -> ScoreContext:
-    return ScoreContext(position, task.output_sig, features)
+    return ScoreContext(position, task.output_sig, values, features)
 
 
 class UniformScorer:
@@ -495,7 +467,7 @@ class UniformScorer:
 
     Scorer contract: `score(op_name, prefix, candidate, ctx)` is a pure
     function of the operation, `ctx.position`, the candidate entry (its
-    signature, type, free placeholders and weight) and the task, and it
+    outcomes, type, free placeholders and weight) and the task, and it
     sees the chosen `prefix` only as "is `prefix[-1]` this candidate?".
     Argument selection relies on this to score each pair once per store
     (ValueStore.ranking and last_choice_score).  A store serves one task,
@@ -529,7 +501,8 @@ def beam_select_args(op: Operation, store: ValueStore, scorer,
         if not cands:
             return []
         per_position.append((pty, cands,
-                             make_context(task, j, store.features)))
+                             make_context(task, j, store.values,
+                                          store.features)))
     return [entries
             for entries in _beam(op.name, per_position, store, scorer,
                                  beam_size)
@@ -627,9 +600,8 @@ class _Plan:
 
 def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
                 prims, store: ValueStore) -> ValueEntry:
-    """Construct (and semantically fingerprint) the value for op(args), an
-    entry for `store`, whose entries the arguments must be or have been
-    built for.
+    """Construct the value for op(args), an entry for `store`, whose
+    entries the arguments must be or have been built for.
 
     The result is computed from the arguments' ids, applying the operation
     once per distinct argument vector over the contexts (see _applied).
@@ -643,12 +615,11 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
     arguments and the application might run out of steps together, the
     term is evaluated in full.
 
-    The result is looked up by its value in `store.by_ids` before its
-    outcomes are decoded or its term built.  If the stored entry weighs no
-    more than the candidate, store.add would keep it and drop the
-    candidate, so it is returned and no entry is built.  store.add(stored
-    entry) gives (stored entry, False, False), as store.add(candidate)
-    would."""
+    The result is looked up by its value in `store.by_ids` before its term
+    is built.  If the stored entry weighs no more than the candidate,
+    store.add would keep it and drop the candidate, so it is returned and
+    no entry is built.  store.add(stored entry) gives (stored entry, False,
+    False), as store.add(candidate) would."""
     plan = store.plans.get(op.name)
     if plan is None:
         plan = store.plans[op.name] = _Plan(op, prims)
@@ -660,23 +631,20 @@ def build_entry(op: Operation, arg_entries, task: Task, limits: EvalLimits,
         if e.free_vars and not arrow and e.free_vars != fv:
             fv = tuple(sorted(set(fv).union(e.free_vars))) if fv \
                 else e.free_vars
-    term = outcomes = None
+    term = None
     found = _applied(plan, arg_entries, task, limits, prims, bool(fv), store)
     if found is None:
         term = _term(plan, arg_entries, store)
         outcomes, steps = _evaluated(term, task, limits, prims, fv)
-        ids = store.ids_of(outcomes, fv)
+        ids = store.ids_of(outcomes)
     else:
         ids, steps = found
     old = store.by_ids.get((plan.ret, fv, ids))
     if old is not None and old.weight <= weight:
         return old
-    if outcomes is None:
-        outcomes = store.outcomes_of(ids, fv)
     if term is None:
         term = _term(plan, arg_entries, store)
-    return ValueEntry(term, weight, plan.ret, sig_from_outcomes(outcomes, fv),
-                      free_vars=fv,
+    return ValueEntry(term, weight, plan.ret, free_vars=fv,
                       provenance=(op.name,
                                   tuple(e.index for e, _ in arg_entries)),
                       steps=steps, ids=ids)
@@ -853,7 +821,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
     nondecreasing in weight, deduplicating by value (ValueStore)."""
     prims = lib.prims()
     store = init_store(task, lib, limits)
-    solution = _first_solution(store, task)
+    solution = store.by_ids.get(store.goal)  # a seed
     candidates = 0
 
     def result(timed_out=False):
@@ -888,7 +856,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                     entry = build_entry(op, tup, task, limits, prims, store)
                     candidates += 1
                     canon, is_new, _ = store.add(entry)
-                    if is_new and signature_solves(canon.signature, task):
+                    if is_new and store.solves(canon):
                         solution = canon
                         if stop_on_solve:
                             return result()
@@ -976,7 +944,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     last_restart = 0.0
     rng = random.Random(cfg.random_seed)
     store = init_store(task, lib, cfg.eval_limits)
-    solution = _first_solution(store, task)
+    solution = store.by_ids.get(store.goal)  # a seed
     executed: Dict[str, set] = {op.name: set() for op in ops}
     samplers: Dict[str, UniqueSampler] = {}
     # unbounded beam only: per op, how much of the store and of its
@@ -1052,8 +1020,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                                         prims, store)
                     candidates += 1
                     canon, is_new, improved = store.add(entry)
-                    if is_new and solution is None and \
-                            signature_solves(canon.signature, task):
+                    if is_new and solution is None and store.solves(canon):
                         solution = canon
                     progress = progress or is_new or improved
             if (solution is not None and cfg.stop_on_solve) or \
@@ -1089,12 +1056,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     solved = solution is not None
     return SolveResult(solved, solution.term if solved else None, clock.now(),
                        candidates, restarts, store)
-
-
-def _first_solution(store: ValueStore, task: Task) -> Optional[ValueEntry]:
-    """The first entry of `store` that solves `task`, or None."""
-    return next((e for e in store.entries
-                 if signature_solves(e.signature, task)), None)
 
 
 def _fresh_product(op: Operation, store: ValueStore, seen: int,
@@ -1140,7 +1101,7 @@ def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
         if not cands:
             return None
         r = store.ranking(scorer, op.name, j, cands,
-                          make_context(task, j, store.features))
+                          make_context(task, j, store.values, store.features))
         scores = [-r.keys[e.index][0] for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]

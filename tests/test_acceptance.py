@@ -121,9 +121,12 @@ def test_search_matches_exhaustive_oracle():
                                stop_on_solve=False)
         assert not ex.timed_out
         sr = search(task, ORACLE_LIB, UniformScorer(), cfg)
-        ex_sigs = {e.signature for e in ex.store.entries}
-        sr_sigs = {e.signature for e in sr.store.entries}
-        assert ex_sigs == sr_sigs, task.name
+        # every value of both stores: type, free placeholders, outcomes
+        ex_values = {(e.ty, e.free_vars, ex.store.outcomes_of(e.ids))
+                     for e in ex.store.entries}
+        sr_values = {(e.ty, e.free_vars, sr.store.outcomes_of(e.ids))
+                     for e in sr.store.entries}
+        assert ex_values == sr_values, task.name
         if ex.solution is not None:
             solved_ex.add(task.name)
         if sr.solved:

@@ -42,7 +42,7 @@ def test_trace_file_is_pinned(tmp_path):
 def _ctx_and_entries():
     lib = sub_dsl("Add", "Map")
     store = init_store(TASK, lib, LIMITS)
-    ctx = make_context(TASK, 0)
+    ctx = make_context(TASK, 0, store.values)
     return ctx, store.entries
 
 

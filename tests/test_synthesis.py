@@ -25,11 +25,11 @@ from pbesynth.lang import (
     format_term, infer_type, invoke_prim, parse_term, parse_type, term_size,
 )
 from pbesynth.synthesis import (
-    SearchConfig, UniformScorer, ValueEntry, ValueStore, _evaluated,
-    _sampler_dists, admissible, arg_term, arrow_placeholder_names,
-    beam_select_args, build_entry, compute_signature, eval_outcomes,
+    INT_BATTERY, SearchConfig, UniformScorer, ValueEntry, ValueStore,
+    _evaluated, _sampler_dists, admissible, arg_term,
+    arrow_placeholder_names, beam_select_args, build_entry, eval_outcomes,
     exhaustive_search, init_store, lib_placeholders, make_context,
-    placeholder_info, search, sig_from_outcomes, signature_solves,
+    placeholder_info, search,
 )
 from pbesynth.task import Task, load_tasks
 
@@ -63,54 +63,43 @@ def test_concrete_signature_distinguishes_semantics():
     t1 = parse_term("(Reverse xs)", NAMES)
     t2 = parse_term("(Sort xs)", NAMES)
     task = simple_task([((2, 1), [0]), ((1, 2), [0])])
-    s1 = compute_signature(t1, task, LIMITS, PRIMS)
-    s2 = compute_signature(t2, task, LIMITS, PRIMS)
-    assert s1 != s2
+    assert eval_outcomes(t1, task, LIMITS, PRIMS) != \
+        eval_outcomes(t2, task, LIMITS, PRIMS)
 
 
 def test_semantically_equal_terms_share_signature():
     t1 = parse_term("(Add (Head xs) 1)", NAMES)
     t2 = parse_term("(Add 1 (Head xs))", NAMES)
-    s1 = compute_signature(t1, TASK, LIMITS, PRIMS)
-    s2 = compute_signature(t2, TASK, LIMITS, PRIMS)
-    assert s1 == s2
+    assert eval_outcomes(t1, TASK, LIMITS, PRIMS) == \
+        eval_outcomes(t2, TASK, LIMITS, PRIMS)
 
 
 def test_errors_fold_into_signature():
     t = parse_term("(Head (Drop xs 9))", NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS)
-    assert sig[0] == "v"
-    assert all(o == ("e", "domain") for o in sig[1])
+    assert eval_outcomes(t, TASK, LIMITS, PRIMS) == \
+        (("e", "domain"),) * len(TASK.examples)
 
 
 def test_free_placeholder_signature_uses_battery():
+    # one outcome per example x battery row, example-major
     t = parse_term("(Add %0i 1)", NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS, free_vars=("%0i",))
-    assert sig[0] == "f" and sig[1] == ("%0i",)
-    assert len(sig[2]) == len(TASK.examples)
-    assert len(sig[2][0]) == 8
+    outs = eval_outcomes(t, TASK, LIMITS, PRIMS, free_vars=("%0i",))
+    assert outs == tuple(("i", v + 1) for v in INT_BATTERY) * \
+        len(TASK.examples)
 
 
-def test_sig_from_outcomes_matches_compute_signature():
-    for text in ["(Add (Head xs) 1)", "(Reverse xs)", "(Head (Drop xs 9))"]:
-        t = parse_term(text, NAMES)
-        outs = eval_outcomes(t, TASK, LIMITS, PRIMS)
-        assert sig_from_outcomes(outs) == \
-            compute_signature(t, TASK, LIMITS, PRIMS)
-
-
-def test_signature_solves():
-    t = parse_term("(Map (lam (Add $0 1)) xs)", NAMES)
-    sig = compute_signature(t, TASK, LIMITS, PRIMS)
-    assert signature_solves(sig, TASK)
-    other = compute_signature(parse_term("(Reverse xs)", NAMES),
-                              TASK, LIMITS, PRIMS)
-    assert not signature_solves(other, TASK)
+def test_store_solves_only_with_the_goal_value():
+    # the goal is the task's outputs, interned before any seed
+    store = init_store(TASK, sub_dsl("Add", "Map"), LIMITS)
+    assert store.goal == (INT_LIST, (), (0, 1))
+    assert store.outcomes_of((0, 1)) == TASK.output_sig
+    assert store.solves(_entry(store, "(Map (lam (Add $0 1)) xs)", 4,
+                               INT_LIST))
+    assert not store.solves(_entry(store, "(Reverse xs)", 2, INT_LIST))
 
 
 def test_admissible_requires_one_allowed_set():
-    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, (n,), free_vars=(n,),
-                       ids=())
+    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, free_vars=(n,), ids=())
             for n in ("%0i", "%1i"))
     allowed = [frozenset({"%0i"}), frozenset({"%1i"})]
     assert admissible(((a, INT), (a, INT)), allowed)
@@ -126,16 +115,22 @@ def test_admissible_requires_one_allowed_set():
 
 def _entry(store, text, weight, ty):
     t = parse_term(text, NAMES)
-    outs = eval_outcomes(t, TASK, LIMITS, PRIMS)
-    return ValueEntry(t, weight, ty, sig_from_outcomes(outs),
-                      ids=store.ids_of(outs, ()))
+    return ValueEntry(t, weight, ty,
+                      ids=store.ids_of(eval_outcomes(t, TASK, LIMITS, PRIMS)))
 
 
-def _stored(store, sig, ty=None):
-    """The entry of `store` with signature `sig`, and type `ty` unless it is
-    None, or None."""
-    return next((e for e in store.entries if e.signature == sig
+def _stored(store, outcomes, free_vars=(), ty=None):
+    """The entry of `store` with these outcomes and free placeholders, and
+    type `ty` unless it is None, or None."""
+    return next((e for e in store.entries if e.free_vars == free_vars
+                 and store.outcomes_of(e.ids) == outcomes
                  and ty in (None, e.ty)), None)
+
+
+def _values(store):
+    """The values `store` holds, decoded: comparable across stores."""
+    return {(e.ty, e.free_vars, store.outcomes_of(e.ids))
+            for e in store.entries}
 
 
 def test_store_deduplicates_by_signature():
@@ -192,7 +187,7 @@ def test_store_keeps_equal_outcomes_of_different_types_apart():
     head = build("Head", nil)[0]
     drop = build("Drop", build("Take", xs, ph)[0], head)[0]
     add, is_new, improved = build("Add", ph, head)
-    assert drop.signature == add.signature
+    assert (drop.free_vars, drop.ids) == (add.free_vars, add.ids)
     assert is_new and not improved and add is not drop
     assert (format_term(drop.term), drop.ty) == \
         ("(Drop (Take xs %0i) (Head []))", INT_LIST)
@@ -244,7 +239,7 @@ def test_build_entry_lifts_and_weights():
     assert format_term(entry.term) == "(Map (lam (Add $0 1)) xs)"
     assert entry.weight == 4
     assert entry.free_vars == ()
-    assert signature_solves(entry.signature, TASK)
+    assert store.solves(entry)
 
 
 def test_build_entry_outcomes_match_full_evaluation():
@@ -257,8 +252,7 @@ def test_build_entry_outcomes_match_full_evaluation():
     entry = build_entry(take, ((xs, INT_LIST), (n, INT)), task, LIMITS, PRIMS,
                         store)
     direct = eval_outcomes(entry.term, task, LIMITS, PRIMS)
-    assert store.outcomes_of(entry.ids, ()) == direct
-    assert entry.signature == sig_from_outcomes(direct)
+    assert store.outcomes_of(entry.ids) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +286,7 @@ def test_searches_return_stores_without_their_build_table():
         assert not store.plans and not store.lifts
         # the intern table stays: ids still decode
         for e in store.entries:
-            assert store.outcomes_of(e.ids, e.free_vars) == eval_outcomes(
+            assert store.outcomes_of(e.ids) == eval_outcomes(
                 e.term, TASK, LIMITS, PRIMS, e.free_vars)
 
 
@@ -367,8 +361,7 @@ def test_search_agrees_with_exhaustive_on_signature_sets():
                            beam_size=None, restarts_enabled=False,
                            max_weight=4, stop_on_solve=False)
         sr = search(task, lib, UniformScorer(), cfg)
-        assert {e.signature for e in ex.store.entries} == \
-            {e.signature for e in sr.store.entries}
+        assert _values(ex.store) == _values(sr.store)
 
 
 def test_search_is_deterministic_under_virtual_clock():
@@ -463,21 +456,18 @@ def test_cached_build_entry_matches_plain_evaluation(data):
     names = set(lib.op_names())
 
     def entry(text):
-        # by signature: an input equal to another in every example is
-        # stored once
+        # by value: an input equal to another in every example is stored
+        # once
         t = parse_term(text, names)
         fv = ("%0i",) if text == "%0i" else ()
-        return _stored(store, compute_signature(t, task, limits, prims, fv))
+        return _stored(store, eval_outcomes(t, task, limits, prims, fv), fv)
 
     def build(name, *args):
         op = lib.op(name)
         tup = tuple(zip(args, op.signature.params))
         e = build_entry(op, tup, task, limits, prims, store)
         plain = eval_outcomes(e.term, task, limits, prims, e.free_vars)
-        assert store.outcomes_of(e.ids, e.free_vars) == plain, \
-            format_term(e.term)
-        assert e.signature == compute_signature(e.term, task, limits, prims,
-                                                e.free_vars)
+        assert store.outcomes_of(e.ids) == plain, format_term(e.term)
         # `steps` bounds the steps of every evaluation that completes
         assert e.steps >= _evaluated(e.term, task, limits, prims,
                                      e.free_vars)[1]
@@ -518,9 +508,8 @@ def _unprobed(store):
 
 
 def _store_state(store):
-    return ([(format_term(e.term), e.weight, e.ty, e.signature, e.free_vars,
-              e.index, e.provenance,
-              store.outcomes_of(e.ids, e.free_vars), e.steps)
+    return ([(format_term(e.term), e.weight, e.ty, e.free_vars, e.index,
+              e.provenance, store.outcomes_of(e.ids), e.steps)
              for e in store.entries], store.improved)
 
 
@@ -543,8 +532,7 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
     def entry(text):
         t = parse_term(text, names)
         fv = ("%0i",) if "%0i" in text else ()
-        return _stored(probed,
-                       compute_signature(t, task, limits, prims, fv))
+        return _stored(probed, eval_outcomes(t, task, limits, prims, fv), fv)
 
     def build(name, *args):
         op = lib.op(name)
@@ -553,11 +541,12 @@ def test_probed_store_matches_a_store_fed_full_entries(data):
         got = build_entry(op, tup, task, limits, prims, probed)
         full = build_entry(op, twin, task, limits, prims, ref)
         if got.index < 0:  # built in full
-            assert probed.outcomes_of(got.ids, got.free_vars) == \
+            assert probed.outcomes_of(got.ids) == \
                 eval_outcomes(got.term, task, limits, prims, got.free_vars)
         else:  # a duplicate, at the stored weight or more
             assert probed.entries[got.index] is got
-            assert got.signature == full.signature
+            assert (got.free_vars, probed.outcomes_of(got.ids)) == \
+                (full.free_vars, ref.outcomes_of(full.ids))
             assert got.weight <= full.weight
         canon, is_new, improved = probed.add(got)
         want = ref.add(full)
@@ -622,17 +611,19 @@ def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
             for e, pty in tup:
                 if not isinstance(pty, Arrow):
                     fv.update(e.free_vars)
-            sig = compute_signature(term, task, limits, prims, tuple(fv))
+            fv = tuple(sorted(fv))
+            outs = eval_outcomes(term, task, limits, prims, fv)
             got = build_entry(op, tup, task, limits, prims, store)
-            stored = _stored(store, sig, op.signature.ret)
+            stored = _stored(store, outs, fv, op.signature.ret)
             if got.index >= 0:  # the probe's find
                 assert got is stored
             else:
-                assert got.signature == sig
+                assert (got.free_vars, store.outcomes_of(got.ids)) == \
+                    (fv, outs)
                 assert stored is None or stored.weight > got.weight
             store.add(got)
         for e in store.entries:
-            assert store.outcomes_of(e.ids, e.free_vars) == eval_outcomes(
+            assert store.outcomes_of(e.ids) == eval_outcomes(
                 e.term, task, limits, prims, e.free_vars)
             assert store.by_ids[(e.ty, e.free_vars, e.ids)] is e
         assert len(store.by_ids) == len(store.entries)
@@ -730,12 +721,12 @@ def test_application_table_follows_an_improved_lambda():
     assert is_new and body.weight == 8
     xs = stored("xs")
     first = build("Map", lam, xs)[0]
-    assert store.outcomes_of(first.ids, ()) == (("l", (6, 3)), ("l", (6,)))
+    assert store.outcomes_of(first.ids) == (("l", (6, 3)), ("l", (6,)))
     better, (canon, _, improved) = build("Add", ph, one)
     assert canon is lam and improved and lam.weight == better.weight == 2
     again = build("Map", lam, xs)[0]
     assert format_term(again.term) == "(Map (lam (Add $0 1)) xs)"
-    outcomes = store.outcomes_of(again.ids, ())
+    outcomes = store.outcomes_of(again.ids)
     assert outcomes == eval_outcomes(again.term, task, LIMITS, PRIMS)
     assert outcomes == (("l", (8, 3)), ("l", (10,)))
 
@@ -788,7 +779,8 @@ def reference_beam_select_args(op, store, scorer, beam_size, task):
         cands = store.candidates_for(pty)
         if not cands:
             return []
-        per_position.append((pty, cands, make_context(task, j)))
+        per_position.append((pty, cands,
+                             make_context(task, j, store.values)))
     beams = [((), 0.0, 0, ())]
     for pty, cands, ctx in per_position:
         nxt = []
@@ -817,7 +809,7 @@ def reference_sampler_dists(op, store, scorer, task):
         cands = store.candidates_for(pty)
         if not cands:
             return None
-        ctx = make_context(task, j)
+        ctx = make_context(task, j, store.values)
         scores = [scorer.score(op.name, (), e, ctx) for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
@@ -856,8 +848,7 @@ def _improve(store, data):
     e = heavy[data.draw(st.integers(0, len(heavy) - 1))]
     lighter = data.draw(st.integers(0, e.weight - 1))
     _canon, is_new, improved = store.add(
-        ValueEntry(e.term, lighter, e.ty, e.signature, e.free_vars,
-                   ids=e.ids))
+        ValueEntry(e.term, lighter, e.ty, e.free_vars, ids=e.ids))
     assert improved and not is_new and e.weight == lighter
 
 
@@ -979,10 +970,11 @@ def test_incremental_candidates_match_fresh_filter(data):
                     sorted(e.index for e in got)
 
 
-def _plain_score(scorer, name, prefix, entry, position):
+def _plain_score(scorer, name, prefix, entry, position, store):
     """LinearScorer.score without a feature memo, as a dot product."""
     w = scorer.per_op_parameters[name]
-    phi = extract_features(name, prefix, entry, make_context(TASK, position))
+    phi = extract_features(name, prefix, entry,
+                           make_context(TASK, position, store.values))
     return sum(a * b for a, b in zip(w, phi))
 
 
@@ -995,7 +987,8 @@ def _kept_scores(store, scorer):
         for j, pty in enumerate(op.signature.params):
             cands = store.candidates_for(pty)
             r = store.ranking(scorer, op.name, j, cands,
-                              make_context(TASK, j, store.features))
+                              make_context(TASK, j, store.values,
+                                           store.features))
             out += [(op.name, j, e, False, -neg)
                     for neg, _, _, e in r.order]
     for (name, j, i, w), s in store.score_cache(scorer).items():
@@ -1027,13 +1020,14 @@ def test_memoized_scores_equal_plain_feature_products(data):
                 if name not in scorer.per_op_parameters:
                     assert got == 0.0
                     continue
-                want = _plain_score(scorer, name, (e,) if last else (), e, j)
+                want = _plain_score(scorer, name, (e,) if last else (), e, j,
+                                    store)
                 assert got.hex() == want.hex(), (name, j, e.index, last)
             for (i, w), phi in store.features.items():
                 e = store.entries[i]
                 if e.weight == w:
                     assert phi == extract_features(
-                        "Add", (), e, make_context(TASK, 0))[:10]
+                        "Add", (), e, make_context(TASK, 0, store.values))[:10]
 
 
 @settings(max_examples=40, deadline=None)
