@@ -627,9 +627,9 @@ def check_value(v: Value, lim: EvalLimits) -> Value:
 
 
 def canon_value(v: Value) -> tuple:
-    """A checked runtime value in the form outcomes and signatures keep:
-    ("i", int), ("b", bool), ("l", tuple of ints), or ("fn", v) for a
-    function value, which is kept as it is."""
+    """A checked runtime value in the form an outcome takes, which a value
+    store interns: ("i", int), ("b", bool), ("l", tuple of ints), or
+    ("fn", v) for a function value, which is kept as it is."""
     t = type(v)
     if t is int:
         return ("i", v)

@@ -301,6 +301,9 @@ def finalize(pattern, matches, lib: DSLibrary, annots, name: str,
         infer_type(body, {}, lib.symbol_types(), expected=sig)
     except Exception as e:  # noqa: BLE001 - report, do not crash the miner
         return Rejection("ill-typed", str(e))
+    for op in lib.operations:
+        if op.is_learned and op.provenance.body == body:
+            return Rejection("duplicate-abstraction", op.name)
     return Abstraction(name, arity, sig, body, pattern, rep,
                        tuple(sorted({m.task_id for m in used})), iteration)
 

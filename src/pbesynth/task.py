@@ -58,9 +58,9 @@ class Task:
 
     @cached_property
     def output_sig(self) -> tuple:
-        """The outputs in signature form (lang.canon_value): a value
-        signature ("v", outcomes) solves the task when its outcomes equal
-        this."""
+        """The outputs in outcome form (lang.canon_value): a term solves
+        the task when its outcomes equal these (synthesis.ValueStore.goal
+        holds their ids)."""
         return tuple(canon_value(o) for o in self.outputs)
 
 

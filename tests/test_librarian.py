@@ -290,21 +290,30 @@ def test_mine_rejects_shared_head_without_compression():
     assert res.abstractions == []
 
 
-def test_mine_motif_and_rewrite_preserves_semantics():
-    corpus_texts = {
-        "a": "(ZipWith (lam2 (Add $1 $0)) xs (Reverse xs))",
-        "b": "(Take (ZipWith (lam2 (Add $1 $0)) xs (Reverse xs)) 2)",
-        "c": "(ZipWith (lam2 (Add $1 $0)) (Sort xs) (Reverse (Sort xs)))",
-    }
-    corpus = {k: [parse_term(v, NAMES)] for k, v in corpus_texts.items()}
+MOTIF_TEXTS = {
+    "a": "(ZipWith (lam2 (Add $1 $0)) xs (Reverse xs))",
+    "b": "(Take (ZipWith (lam2 (Add $1 $0)) xs (Reverse xs)) 2)",
+    "c": "(ZipWith (lam2 (Add $1 $0)) (Sort xs) (Reverse (Sort xs)))",
+}
+
+
+def _motif_corpus():
+    """(corpus, tasks): three programs that share an inlined motif, each
+    the solution of its own task."""
+    corpus = {k: [parse_term(v, NAMES)] for k, v in MOTIF_TEXTS.items()}
     tasks = {}
-    for k, text in corpus_texts.items():
-        term = corpus[k][0]
+    for k, (term,) in corpus.items():
         exs = []
         for xs in ([1, 2, 3], [4, 0, 5, 2]):
             exs.append(({"xs": list(xs)},
                         evaluate(term, {"xs": list(xs)}, LIMITS, FULL.prims())))
         tasks[k] = Task(k, (("xs", INT_LIST),), tuple(exs))
+    return corpus, tasks
+
+
+def test_mine_motif_and_rewrite_preserves_semantics():
+    corpus, tasks = _motif_corpus()
+    corpus_texts = MOTIF_TEXTS
     res = mine(corpus, FULL, tasks, MineConfig(max_rounds=1))
     assert len(res.abstractions) == 1
     a = res.abstractions[0]
@@ -318,6 +327,21 @@ def test_mine_motif_and_rewrite_preserves_semantics():
         assert term_size(rewritten) < term_size(original)
         for inputs, out in tasks[k].examples:
             assert evaluate(rewritten, dict(inputs), LIMITS, prims) == out
+
+
+def test_mine_does_not_learn_a_learned_operation_again():
+    # the corpus inlines fn_0's body instead of calling fn_0
+    corpus, tasks = _motif_corpus()
+    lib = mine(corpus, FULL, tasks, MineConfig(max_rounds=1)).library
+    fn_0 = lib.op("fn_0").provenance.body
+    res = mine(corpus, lib, tasks)
+    assert [op.name for op in res.library.operations
+            if op.is_learned and op.provenance.body == fn_0] == ["fn_0"]
+    assert "'duplicate-abstraction': 1" in res.report
+    pat = p("(ZipWith (lam2 (Add $1 $0)) ?0 (Reverse ?0))")
+    assert finalize(pat, count_matches(pat, corpus), lib,
+                    annotate_corpus(corpus, tasks, lib), "fn_1") == \
+        Rejection("duplicate-abstraction", "fn_0")
 
 
 def test_mine_returns_nothing_for_trivial_corpus():

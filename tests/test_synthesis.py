@@ -1,4 +1,4 @@
-"""Bottom-up search tests: signatures, the value store, lifting,
+"""Bottom-up search tests: outcomes, the value store, lifting,
 search-vs-exhaustive agreement, and cached argument selection against the
 full-sort reference."""
 
@@ -56,7 +56,7 @@ TASK = simple_task([((1, 2, 3), [2, 3, 4]), ((5,), [6])])
 
 
 # ---------------------------------------------------------------------------
-# Signatures
+# Outcomes
 # ---------------------------------------------------------------------------
 
 def test_concrete_signature_distinguishes_semantics():
@@ -271,7 +271,7 @@ def test_exhaustive_store_is_weight_minimal():
     lib = sub_dsl("Add", "Head")
     res = exhaustive_search(TASK, lib, max_weight=4, stop_on_solve=False)
     for e in res.store.entries:
-        # no entry admits a strictly lighter equal-signature variant later
+        # no entry admits a strictly lighter equal-value variant later
         assert e.weight <= 4
 
 
@@ -590,8 +590,8 @@ def test_store_ids_decode_to_outcomes_and_probe_as_signatures(data):
     """Over random growth rounds, every entry's ids decode through the
     store's intern table to the outcomes of its term, evaluated in full,
     and by_ids holds exactly the entries.  Each candidate's id probe finds
-    the stored entry with the type and the signature of the candidate's
-    term."""
+    the stored entry with the type, free placeholders and outcomes of the
+    candidate's term."""
     lib = data.draw(st.sampled_from([MICRO_LIB, LEARNED_LIB]))
     limits = EvalLimits(max_steps=data.draw(st.integers(1, 60)))
     task = data.draw(_repeating_tasks())
@@ -841,7 +841,7 @@ def _grow(store, data, max_steps=25, ops=DIFF_LIB.operations):
 
 def _improve(store, data):
     """Lower the weight of a drawn entry in place, as ValueStore.add does
-    when it finds a lighter term with the same signature."""
+    when it finds a lighter term with the same value."""
     heavy = [e for e in store.entries if e.weight > 0]
     if not heavy:
         return
