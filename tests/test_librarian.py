@@ -313,7 +313,6 @@ def _motif_corpus():
 
 def test_mine_motif_and_rewrite_preserves_semantics():
     corpus, tasks = _motif_corpus()
-    corpus_texts = MOTIF_TEXTS
     res = mine(corpus, FULL, tasks, MineConfig(max_rounds=1))
     assert len(res.abstractions) == 1
     a = res.abstractions[0]
@@ -321,7 +320,7 @@ def test_mine_motif_and_rewrite_preserves_semantics():
         "(ZipWith (lam2 (Add $1 $0)) ?0 (Reverse ?0))"
     new_lib = res.library
     prims = new_lib.prims()
-    for k in corpus_texts:
+    for k in corpus:
         rewritten = res.corpus[k][0]
         original = corpus[k][0]
         assert term_size(rewritten) < term_size(original)
