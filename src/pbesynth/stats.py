@@ -9,6 +9,7 @@ expansion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import fmean, variance
 
@@ -102,8 +103,11 @@ class TTestResult:
 def t_test(xs, ys, alpha: float = 0.05) -> TTestResult:
     """Two-sample pooled-variance t-test (two-sided).
 
-    Degenerate inputs (all values identical in both samples) are flagged:
-    equal means give p = 1, different means give p = 0."""
+    Degenerate inputs (no spread within either sample) are flagged: equal
+    means give p = 1, different means give p = 0. A pooled variance below
+    the smallest normal double counts as no spread: it has underflowed
+    into the subnormal range, where it keeps too few significant bits for
+    the statistic built on it to mean anything."""
     xs, ys = list(xs), list(ys)
     if len(xs) < 2 or len(ys) < 2:
         raise ValueError("need at least two samples per group")
@@ -112,7 +116,7 @@ def t_test(xs, ys, alpha: float = 0.05) -> TTestResult:
     v1, v2 = variance(xs), variance(ys)
     df = n1 + n2 - 2
     pooled = ((n1 - 1) * v1 + (n2 - 1) * v2) / df
-    if pooled == 0.0:
+    if pooled < sys.float_info.min:
         if m1 == m2:
             return TTestResult(0.0, df, 1.0, False, degenerate=True)
         stat = math.inf if m1 > m2 else -math.inf

@@ -74,6 +74,16 @@ def test_constant_but_different_samples():
     assert r.significant and r.degenerate
 
 
+def test_subnormal_pooled_variance_is_degenerate():
+    # The squared deviations of these samples underflow into the subnormal
+    # range, which leaves the pooled variance only a few significant bits;
+    # the true statistic is -1, scipy reports about -1.08.
+    r = t_test([0.0, 0.0], [0.0, 8.29768612474518e-162])
+    assert r.degenerate
+    assert r.statistic == -math.inf
+    assert r.p_value == 0.0
+
+
 def test_t_test_requires_two_per_group():
     with pytest.raises(ValueError):
         t_test([1], [2, 3])
