@@ -39,6 +39,22 @@ def test_trace_file_is_pinned(tmp_path):
         "a581addbb144afd657372c04eea2a78b111a7b2c4d74cc3e48a797172b6faa5d"
 
 
+def test_trained_parameters_are_pinned():
+    # every trained parameter, bit for bit: Add, Scanl1 and Subtract train
+    # (1,920, 2,880 and 1,600 updates at the default max_steps)
+    data = generate_traces(FULL, TraceGenConfig(max_weight=3, episodes=3,
+                                                episode_timeout=1e9))
+    pins = {
+        200: "09af79694fcc44cf09c0fa701e5e31311227b33b1376c2ac966247e3708e956a",
+        10000: "deeb01311015757e7af612c33abe0a74c3cea362a593152ea2da9260960ec74e",
+    }
+    for max_steps, pin in pins.items():
+        params = train_scorer(data, max_steps=max_steps).per_op_parameters
+        text = "".join(f"{op} {' '.join(map(float.hex, w))}\n"
+                       for op, w in sorted(params.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, max_steps
+
+
 def _ctx_and_entries():
     lib = sub_dsl("Add", "Map")
     store = init_store(TASK, lib, LIMITS)
