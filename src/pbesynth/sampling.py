@@ -38,20 +38,17 @@ class _Node:
 class UniqueSampler:
     """Samples distinct tuples from a product of finite distributions.
 
-    `position_dists` is a list (one entry per tuple position) of lists of
-    ``(choice, probability)`` pairs; probabilities at each position should
-    sum to 1 (they are normalized defensively).
+    `position_dists` holds one ``(choices, masses)`` pair per tuple
+    position.  The masses are used as given, so each position's should
+    sum to 1 for a first draw to follow the product distribution.
     """
 
-    def __init__(self, position_dists: Sequence[Sequence[Tuple[object, float]]]):
-        self.choices = []
-        self.probs = []
-        for dist in position_dists:
-            total = sum(p for _, p in dist)
-            if not dist or total <= 0:
+    def __init__(self,
+                 position_dists: Sequence[Tuple[Sequence, Sequence[float]]]):
+        for choices, masses in position_dists:
+            if not choices or sum(masses) <= 0:
                 raise ValueError("each position needs positive total mass")
-            self.choices.append([c for c, _ in dist])
-            self.probs.append([p / total for _, p in dist])
+        self.dists = position_dists
         self.root = _Node(1.0)
 
     @property
@@ -60,29 +57,30 @@ class UniqueSampler:
 
     def support_size(self) -> int:
         n = 1
-        for choices in self.choices:
+        for choices, _ in self.dists:
             n *= len(choices)
         return n
 
     def sample(self, rng: random.Random) -> Optional[tuple]:
-        """Draw one not-yet-seen tuple, or None when the support is spent."""
+        """Draw one not-yet-seen tuple of choices, or None when the support
+        is spent."""
         if self.root.exhausted:
             return None
         node = self.root
         trail: List[_Node] = [node]
         picks = []
         drawn = []
-        for choices, probs in zip(self.choices, self.probs):
+        for choices, masses in self.dists:
             if node.weights is None:
                 orig = node.orig
-                node.weights = [orig * p for p in probs]
+                node.weights = [orig * p for p in masses]
                 node.children = {}
             idx = _pick(node, rng)
             drawn.append(choices[idx])
             picks.append(idx)
             child = node.children.get(idx)
             if child is None:
-                child = node.children[idx] = _Node(node.orig * probs[idx])
+                child = node.children[idx] = _Node(node.orig * masses[idx])
             node = child
             trail.append(node)
         # `node` is now the leaf for this complete tuple
@@ -103,17 +101,16 @@ class UniqueSampler:
 
 def _pick(node: _Node, rng: random.Random) -> int:
     """A live child of `node`, drawn in proportion to its weight.  Exhausted
-    children weigh 0.0, which leaves every sum and running sum unchanged, so
-    the draw equals one over the live children alone."""
-    weights = node.weights
-    total = sum(weights)
+    children weigh 0.0, which leaves every running sum unchanged, so the
+    draw equals one over the live children alone."""
+    running = list(accumulate(node.weights))
+    total = running[-1]
     if total <= 0.0:
         # float cancellation: fall back to uniform over live children
         live = _live(node)
         return live[int(rng.random() * len(live)) % len(live)]
-    x = rng.random() * total
-    idx = bisect_right(list(accumulate(weights)), x)
-    return idx if idx < len(weights) else _live(node)[-1]
+    idx = bisect_right(running, rng.random() * total)
+    return idx if idx < len(running) else _live(node)[-1]
 
 
 def _live(node: _Node) -> List[int]:

@@ -992,9 +992,10 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                     continue
                 sampler = samplers[op.name] = UniqueSampler(dists)
             for _ in range(cfg.beam_size):
-                tup = sampler.sample(rng)
-                if tup is None:
+                drawn = sampler.sample(rng)
+                if drawn is None:
                     break
+                tup = tuple(zip(drawn, op.signature.params))
                 if admissible(tup, store.allowed):
                     sampled_any = True
                     yield op, tup, tuple_key(tup)
@@ -1093,8 +1094,10 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
 
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
-    """Per position, a softmax over the scores of its candidates with an
-    empty prefix, as the position's ranking holds them (ValueStore.ranking)."""
+    """Per position, its candidates and their softmax over the scores with
+    an empty prefix, as the position's ranking holds them
+    (ValueStore.ranking).  The candidate list is copied, since the store
+    extends it."""
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty)
@@ -1106,5 +1109,5 @@ def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
         total = sum(weights)
-        dists.append([((e, pty), w / total) for e, w in zip(cands, weights)])
+        dists.append((cands[:], [w / total for w in weights]))
     return dists

@@ -470,9 +470,9 @@ def test_no_abstractions_from_trivial_or_single_task_corpora():
 def test_unique_sampler_exhaustion_and_first_draw_distribution():
     started = time.monotonic()
     rng = random.Random(13)
-    dists = [[(i, w) for i, w in enumerate([5, 3, 2, 2, 1, 1, 1, 1, 2, 2])],
-             [(c, w) for c, w in zip("abcdefghij", range(1, 11))],
-             [(x, 1.0) for x in range(10)]]
+    dists = [(range(10), [w / 20 for w in [5, 3, 2, 2, 1, 1, 1, 1, 2, 2]]),
+             ("abcdefghij", [w / 55 for w in range(1, 11)]),
+             (range(10), [0.1] * 10)]
     sampler = UniqueSampler(dists)
     assert sampler.support_size() == 1000
     seen = set()
@@ -487,11 +487,10 @@ def test_unique_sampler_exhaustion_and_first_draw_distribution():
     assert sampler.sample(rng) is None
 
     # First draws from fresh states follow the target product distribution.
-    first_dists = [[("A", 0.5), ("B", 0.3), ("C", 0.2)],
-                   [(0, 0.6), (1, 0.25), (2, 0.15)]]
+    first_dists = [("ABC", [0.5, 0.3, 0.2]), ((0, 1, 2), [0.6, 0.25, 0.15])]
     probs = {}
-    for (ca, pa) in first_dists[0]:
-        for (cb, pb) in first_dists[1]:
+    for (ca, pa) in zip(*first_dists[0]):
+        for (cb, pb) in zip(*first_dists[1]):
             probs[(ca, cb)] = pa * pb
     rng = random.Random(97)
     counts = {k: 0 for k in probs}

@@ -12,7 +12,7 @@ from pbesynth.sampling import UniqueSampler
 
 
 def _uniform(n):
-    return [(i, 1.0 / n) for i in range(n)]
+    return list(range(n)), [1.0 / n] * n
 
 
 def test_support_size():
@@ -36,7 +36,7 @@ def test_exact_exhaustion_small():
 
 
 def test_skewed_weights_still_exhaust():
-    dist = [("a", 0.9), ("b", 0.05), ("c", 0.05)]
+    dist = (["a", "b", "c"], [0.9, 0.05, 0.05])
     s = UniqueSampler([dist, dist])
     rng = random.Random(7)
     out = [s.sample(rng) for _ in range(9)]
@@ -46,7 +46,7 @@ def test_skewed_weights_still_exhaust():
 
 def test_first_draw_follows_weights():
     # a 3:1 weighting on a single position should show up in first draws
-    dist = [("x", 0.75), ("y", 0.25)]
+    dist = (["x", "y"], [0.75, 0.25])
     rng = random.Random(13)
     hits = sum(UniqueSampler([dist]).sample(rng) == ("x",)
                for _ in range(4000))
@@ -55,9 +55,9 @@ def test_first_draw_follows_weights():
 
 def test_zero_mass_rejected():
     with pytest.raises(ValueError):
-        UniqueSampler([[("a", 0.0)]])
+        UniqueSampler([(["a"], [0.0])])
     with pytest.raises(ValueError):
-        UniqueSampler([[]])
+        UniqueSampler([([], [])])
 
 
 @settings(max_examples=40)
@@ -88,15 +88,15 @@ class _EagerNode:
 
 class EagerUniqueSampler:
     """The sampler before nodes were made lazy: every child of a visited
-    node is built at once, and a draw scans the live children."""
+    node is built at once, and a draw scans the live children.  It takes
+    the same ``(choices, masses)`` per position and uses the masses as
+    given."""
 
     def __init__(self, position_dists):
-        self.dists = []
-        for dist in position_dists:
-            total = sum(p for _, p in dist)
-            if not dist or total <= 0:
+        for choices, masses in position_dists:
+            if not choices or sum(masses) <= 0:
                 raise ValueError("each position needs positive total mass")
-            self.dists.append([(c, p / total) for c, p in dist])
+        self.dists = position_dists
         self.root = _EagerNode(1.0)
 
     def sample(self, rng):
@@ -105,11 +105,11 @@ class EagerUniqueSampler:
         node = self.root
         trail = [node]
         choices = []
-        for dist in self.dists:
+        for options, masses in self.dists:
             if node.children is None:
-                node.children = [_EagerNode(node.orig * p) for _, p in dist]
+                node.children = [_EagerNode(node.orig * p) for p in masses]
             idx = self._pick(node, rng)
-            choices.append(dist[idx][0])
+            choices.append(options[idx])
             node = node.children[idx]
             trail.append(node)
         consumed = node.remaining
@@ -127,7 +127,9 @@ class EagerUniqueSampler:
     def _pick(self, node, rng):
         live = [i for i, c in enumerate(node.children) if not c.exhausted]
         weights = [node.children[i].remaining for i in live]
-        total = sum(weights)
+        total = 0.0
+        for w in weights:  # sequentially, as the lazy sampler's prefix sums
+            total += w
         if total <= 0.0:
             return live[int(rng.random() * len(live)) % len(live)]
         x = rng.random() * total
@@ -168,7 +170,7 @@ _mass = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
     [1.0, 0.9, 0.05, 1e-17, 1e-170, 1e-200, 1e-300, 3.0]))
 _dists = st.lists(st.lists(_mass, min_size=1, max_size=5).filter(
     lambda ps: sum(ps) > 0), min_size=1, max_size=3).map(
-    lambda ds: [[(i, p) for i, p in enumerate(ps)] for ps in ds])
+    lambda ds: [(list(range(len(ps))), ps) for ps in ds])
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,9 +182,9 @@ def test_lazy_sampler_matches_eager_reference(dists, seed):
 
 
 @pytest.mark.parametrize("dists", [
-    [[("a", 0.9), ("b", 0.05), ("c", 0.05)]] * 2,
-    [[("a", 1.0), ("b", 1e-200)]] * 2,
-    [[("a", 1.0), ("b", 1e-170), ("c", 1e-300)]] * 3,
+    [(["a", "b", "c"], [0.9, 0.05, 0.05])] * 2,
+    [(["a", "b"], [1.0, 1e-200])] * 2,
+    [(["a", "b", "c"], [1.0, 1e-170, 1e-300])] * 3,
 ])
 def test_lazy_sampler_matches_eager_on_skewed_and_tiny_masses(dists,
                                                               monkeypatch):
@@ -190,6 +192,6 @@ def test_lazy_sampler_matches_eager_on_skewed_and_tiny_masses(dists,
     for seed in range(20):
         assert _draw_all(UniqueSampler(dists), seed) == \
             _draw_all(EagerUniqueSampler(dists), seed)
-    if any(p < 1e-100 for d in dists for _, p in d):
+    if any(p < 1e-100 for _, masses in dists for p in masses):
         # the tiny masses underflow, so the uniform fallback really ran
         assert 0.0 in fallbacks

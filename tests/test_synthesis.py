@@ -814,7 +814,7 @@ def reference_sampler_dists(op, store, scorer, task):
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
         total = sum(weights)
-        dists.append([((e, pty), w / total) for e, w in zip(cands, weights)])
+        dists.append((list(cands), [w / total for w in weights]))
     return dists
 
 
@@ -890,7 +890,7 @@ def _ids(tuples):
 def _dist_ids(dists):
     if dists is None:
         return None
-    return [[(e.index, pty, p) for (e, pty), p in d] for d in dists]
+    return [[(e.index, p) for e, p in zip(*d)] for d in dists]
 
 
 def _assert_selection_matches_reference(store, scorer):
