@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 
 class _Node:
@@ -43,8 +43,7 @@ class UniqueSampler:
     sum to 1 for a first draw to follow the product distribution.
     """
 
-    def __init__(self,
-                 position_dists: Sequence[Tuple[Sequence, Sequence[float]]]):
+    def __init__(self, position_dists: Sequence[tuple]):
         for choices, masses in position_dists:
             if not choices or sum(masses) <= 0:
                 raise ValueError("each position needs positive total mass")
@@ -62,8 +61,7 @@ class UniqueSampler:
         return n
 
     def sample(self, rng: random.Random) -> Optional[tuple]:
-        """Draw one not-yet-seen tuple of choices, or None when the support
-        is spent."""
+        """Draw one not-yet-seen tuple of choices, or None once spent."""
         if self.root.exhausted:
             return None
         node = self.root
@@ -104,12 +102,11 @@ def _pick(node: _Node, rng: random.Random) -> int:
     children weigh 0.0, which leaves every running sum unchanged, so the
     draw equals one over the live children alone."""
     running = list(accumulate(node.weights))
-    total = running[-1]
-    if total <= 0.0:
+    if running[-1] <= 0.0:
         # float cancellation: fall back to uniform over live children
         live = _live(node)
         return live[int(rng.random() * len(live)) % len(live)]
-    idx = bisect_right(running, rng.random() * total)
+    idx = bisect_right(running, rng.random() * running[-1])
     return idx if idx < len(running) else _live(node)[-1]
 
 

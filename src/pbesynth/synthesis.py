@@ -1094,10 +1094,8 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
 
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
-    """Per position, its candidates and their softmax over the scores with
-    an empty prefix, as the position's ranking holds them
-    (ValueStore.ranking).  The candidate list is copied, since the store
-    extends it."""
+    """Per position, a copy of its candidates and their softmax over the
+    scores with an empty prefix, as ValueStore.ranking holds them."""
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty)
