@@ -21,22 +21,23 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 # Types
 # ---------------------------------------------------------------------------
 
-# Types key the value store and the search's tables, so each caches the
-# hash a frozen dataclass would compute on every lookup.
+_BASE_TYPES = {}  # name -> its one BaseTy
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BaseTy:
     name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str):
+        # one instance per name, so equality and hashing are identity's
+        return _BASE_TYPES.setdefault(name, super().__new__(cls))
 
     def __repr__(self) -> str:
         return self.name
 
+
+# Arrow types key the value store and the search's tables, so each caches
+# the hash a frozen dataclass would compute on every lookup.
 
 @dataclass(frozen=True)
 class Arrow:
@@ -61,8 +62,6 @@ Ty = Union[BaseTy, Arrow]
 INT = BaseTy("Int")
 BOOL = BaseTy("Bool")
 INT_LIST = BaseTy("IntList")
-
-_BASE_TYPES = {"Int": INT, "Bool": BOOL, "IntList": INT_LIST}
 
 
 def parse_type(text: str) -> Ty:

@@ -1,10 +1,13 @@
 """Core language tests: parsing, printing, typing, sizes, evaluation."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
+import pbesynth
 from pbesynth.lang import (
-    INT, BOOL, INT_LIST, Arrow, Apply, BoundVar, ConstBool, ConstInt,
+    INT, BOOL, INT_LIST, Arrow, BaseTy, Apply, BoundVar, ConstBool, ConstInt,
     ConstList, InputVar, Lam, PrimRef, EvalError, EvalLimits, LangError,
     bind_input_vars, evaluate, format_term, free_input_vars, infer_type,
     invoke_prim, is_closed, is_function_value, max_free_index, parse_term,
@@ -12,7 +15,7 @@ from pbesynth.lang import (
 )
 from pbesynth.dsl import (
     DSLibrary, LearnedAbstraction, Operation, abstraction_func,
-    default_list_dsl,
+    default_list_dsl, load_library, save_library,
 )
 
 LIB = default_list_dsl()
@@ -34,6 +37,30 @@ def test_parse_type_bases():
     assert parse_type("Int") == INT
     assert parse_type("Bool") == BOOL
     assert parse_type("IntList") == INT_LIST
+
+
+def test_base_types_are_one_instance_per_name():
+    assert BaseTy("Int") is INT
+    assert parse_type("Int") is INT
+    assert parse_type("(IntList) -> Bool").params[0] is INT_LIST
+
+
+def test_every_type_of_a_loaded_library_is_a_base_instance(tmp_path):
+    def bases(ty):
+        if isinstance(ty, Arrow):
+            return [b for t in (*ty.params, ty.ret) for b in bases(t)]
+        return [ty]
+
+    path = tmp_path / "lib.txt"
+    save_library(LIB, path)
+    micro = os.path.join(os.path.dirname(pbesynth.__file__), "data",
+                         "micro_library.txt")
+    for lib in (load_library(str(path)), load_library(micro)):
+        types = [o.signature for o in lib.operations] + \
+            [ty for _, ty in lib.constants]
+        found = [b for ty in types for b in bases(ty)]
+        assert {INT, BOOL, INT_LIST} <= set(found)
+        assert all(any(b is t for t in (INT, BOOL, INT_LIST)) for b in found)
 
 
 def test_parse_type_arrows():
