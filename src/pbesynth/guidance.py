@@ -14,7 +14,8 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 
 from .lang import (
     INT, BOOL, INT_LIST, Apply, Lam, PrimRef, EvalLimits, format_term,
@@ -308,9 +309,9 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
     step_counts = {}
     for s in data.steps:
         step_counts[s.op_name] = step_counts.get(s.op_name, 0) + 1
-        pairs = by_op.setdefault(s.op_name, [])
+        diffs = by_op.setdefault(s.op_name, [])
         for neg in s.negatives:
-            pairs.append((s.positive, neg))
+            diffs.append(tuple(map(sub, s.positive, neg)))
     params = {}
     report = {}
     for op_name in sorted(by_op):
@@ -320,20 +321,19 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
             report[op_name] = (f"only {step_counts[op_name]} trace steps, "
                                "kept initial parameters")
             continue
-        pairs = by_op[op_name]
+        diffs = by_op[op_name]  # positive - negative, one per pair
         rng = random.Random(seed * 1000003 + zlib.crc32(op_name.encode()))
-        n_updates = min(max_steps, 5 * len(pairs))
+        n_updates = min(max_steps, 5 * len(diffs))
         for step in range(n_updates):
-            pos, neg = pairs[rng.randrange(len(pairs))]
-            margin = sum(a * (p - q) for a, p, q in zip(w, pos, neg))
+            d = diffs[rng.randrange(len(diffs))]
+            margin = sum(map(mul, w, d))
             if margin > 30:
                 continue
             g = 1.0 / (1.0 + math.exp(margin))  # sigmoid(-margin)
             lr = 0.5 / (1.0 + step / 2000.0)
-            for i in range(FEATURE_DIM):
-                w[i] += lr * g * (pos[i] - neg[i])
+            w = list(map(add, w, map(mul, repeat(lr * g), d)))
         params[op_name] = w
-        report[op_name] = f"trained on {len(pairs)} pairs, {n_updates} updates"
+        report[op_name] = f"trained on {len(diffs)} pairs, {n_updates} updates"
     for op_name, w in init_params.items():
         if op_name not in params:
             params[op_name] = list(w)
