@@ -68,8 +68,13 @@ def t_sf(t: float, df: float) -> float:
     """P(T >= t) for Student's t with `df` degrees of freedom."""
     if df <= 0:
         raise ValueError("df must be positive")
-    x = df / (df + t * t)
-    p = 0.5 * betainc(df / 2.0, 0.5, x)
+    t2 = t * t
+    if t2 * (df + 2.0) < 3.0 * df:
+        # betainc(df/2, 1/2, x) would use 1 - x, and x = df / (df + t2)
+        # rounds to 1 near t = 0: its complement takes t2 / (df + t2)
+        p = 0.5 * (1.0 - betainc(0.5, df / 2.0, t2 / (df + t2)))
+    else:
+        p = 0.5 * betainc(df / 2.0, 0.5, df / (df + t2))
     return p if t >= 0 else 1.0 - p
 
 

@@ -1,9 +1,11 @@
 """Statistics tests, checked against scipy as an independent reference."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
@@ -84,18 +86,55 @@ def test_subnormal_pooled_variance_is_degenerate():
     assert r.p_value == 0.0
 
 
+def test_t_sf_keeps_its_precision_near_zero():
+    # With one degree of freedom T is Cauchy: P(T >= t) = 1/2 - atan(t)/pi.
+    # Near 0, df / (df + t^2) rounds to 1, which used to give exactly 1/2.
+    for t in (3.9e-8, 1e-6, -1e-5, 0.01):
+        assert t_sf(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi,
+                                           rel=1e-14)
+
+
 def test_t_test_requires_two_per_group():
     with pytest.raises(ValueError):
         t_test([1], [2, 3])
 
 
+def _exact_statistic(xs, ys):
+    """The pooled t statistic in exact rational arithmetic; only the square
+    root is taken in floats, scaled by a power of 4 so it cannot overflow."""
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    n1, n2 = len(xs), len(ys)
+    m1, m2 = sum(xs) / n1, sum(ys) / n2
+    ss = sum((x - m1) ** 2 for x in xs) + sum((y - m2) ** 2 for y in ys)
+    t2 = (m1 - m2) ** 2 * (n1 + n2 - 2) / (ss * Fraction(n1 + n2, n1 * n2))
+    k = max(0, (t2.numerator.bit_length() - t2.denominator.bit_length()) // 2)
+    return math.copysign(math.ldexp(math.sqrt(t2 / 4 ** k), k), m1 - m2)
+
+
+def _close(x):
+    # relative for large statistics, where 1e-8 is below one ulp
+    return pytest.approx(x, rel=1e-12, abs=1e-8)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=10),
        st.lists(st.floats(-50, 50), min_size=2, max_size=10))
+@example([0.0] * 4 + [1.1754943508222875e-38], [1.0, 1.0])
+@example([0.0] * 7 + [6.0, 50.0], [0.0] * 7 + [7.0, 49.00000271836737])
 def test_t_test_matches_scipy_property(xs, ys):
     ours = t_test(xs, ys)
-    ref = scipy_stats.ttest_ind(xs, ys, equal_var=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = scipy_stats.ttest_ind(xs, ys, equal_var=True)
     if ours.degenerate:
         return
-    assert ours.statistic == pytest.approx(ref.statistic, abs=1e-8)
-    assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-8)
+    if any("catastrophic cancellation" in str(w.message) for w in caught):
+        # scipy's two-pass moments lost precision, so it is no reference:
+        # check against exact arithmetic instead
+        exact = _exact_statistic(xs, ys)
+        assert ours.statistic == _close(exact)
+        assert ours.p_value == _close(
+            2 * scipy_stats.t.sf(abs(exact), ours.df))
+        return
+    assert ours.statistic == _close(ref.statistic)
+    assert ours.p_value == _close(ref.pvalue)
