@@ -309,9 +309,9 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
     step_counts = {}
     for s in data.steps:
         step_counts[s.op_name] = step_counts.get(s.op_name, 0) + 1
-        diffs = by_op.setdefault(s.op_name, [])
+        pairs = by_op.setdefault(s.op_name, [])
         for neg in s.negatives:
-            diffs.append(tuple(map(sub, s.positive, neg)))
+            pairs.append((s.positive, neg))
     params = {}
     report = {}
     for op_name in sorted(by_op):
@@ -321,11 +321,11 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
             report[op_name] = (f"only {step_counts[op_name]} trace steps, "
                                "kept initial parameters")
             continue
-        diffs = by_op[op_name]  # positive - negative, one per pair
+        pairs = by_op[op_name]
         rng = random.Random(seed * 1000003 + zlib.crc32(op_name.encode()))
-        n_updates = min(max_steps, 5 * len(diffs))
+        n_updates = min(max_steps, 5 * len(pairs))
         for step in range(n_updates):
-            d = diffs[rng.randrange(len(diffs))]
+            d = tuple(map(sub, *pairs[rng.randrange(len(pairs))]))
             margin = sum(map(mul, w, d))
             if margin > 30:
                 continue
@@ -333,7 +333,7 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
             lr = 0.5 / (1.0 + step / 2000.0)
             w = list(map(add, w, map(mul, repeat(lr * g), d)))
         params[op_name] = w
-        report[op_name] = f"trained on {len(diffs)} pairs, {n_updates} updates"
+        report[op_name] = f"trained on {len(pairs)} pairs, {n_updates} updates"
     for op_name, w in init_params.items():
         if op_name not in params:
             params[op_name] = list(w)
