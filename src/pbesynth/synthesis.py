@@ -1094,8 +1094,8 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
 
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
-    """Per position, a copy of its candidates and their softmax over the
-    scores with an empty prefix, as ValueStore.ranking holds them."""
+    """Per position, a copy of its (growing) candidate list and their
+    softmax over the empty-prefix scores that ValueStore.ranking holds."""
     dists = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty)

@@ -887,6 +887,10 @@ def _ids(tuples):
     return [tuple((e.index, pty) for e, pty in tup) for tup in tuples]
 
 
+def _choices(dists):
+    return [list(choices) for choices, _ in dists or ()]
+
+
 def _dist_ids(dists):
     if dists is None:
         return None
@@ -1038,16 +1042,21 @@ def test_reused_sampler_dists_equal_reference(data):
     operations, so only the positions of some types gain candidates."""
     store = init_store(TASK, DIFF_LIB, LIMITS)
     scorer = _scorers(data)
+    kept = []  # (dists, their choices when built)
     for _round in range(data.draw(st.integers(2, 5))):
         ops = data.draw(st.lists(st.sampled_from(DIFF_LIB.operations),
                                  max_size=2, unique_by=lambda o: o.name))
         _grow(store, data, max_steps=6, ops=ops)
         if data.draw(st.booleans()):
             _improve(store, data)
+        # a distribution handed to a sampler keeps its choices as the
+        # store grows
+        assert all(_choices(d) == built for d, built in kept)
         for op in DIFF_LIB.operations:
             dists = _sampler_dists(op, store, scorer, TASK)
             assert _dist_ids(dists) == \
                 _dist_ids(reference_sampler_dists(op, store, scorer, TASK))
+            kept.append((dists, _choices(dists)))
 
 
 def test_guided_search_extracts_features_once_per_scored_entry(monkeypatch):
