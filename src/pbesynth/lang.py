@@ -21,9 +21,6 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 # Types
 # ---------------------------------------------------------------------------
 
-_BASE_TYPES = {}  # name -> its one BaseTy
-
-
 @dataclass(frozen=True, eq=False)
 class BaseTy:
     name: str
@@ -31,6 +28,9 @@ class BaseTy:
     def __new__(cls, name: str):
         # one instance per name, so equality and hashing are identity's
         return _BASE_TYPES.setdefault(name, super().__new__(cls))
+
+    def __reduce__(self):  # copies and unpickling get the one instance
+        return BaseTy, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
@@ -59,6 +59,7 @@ class Arrow:
 
 Ty = Union[BaseTy, Arrow]
 
+_BASE_TYPES = {}  # name -> its one BaseTy
 INT = BaseTy("Int")
 BOOL = BaseTy("Bool")
 INT_LIST = BaseTy("IntList")

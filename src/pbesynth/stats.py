@@ -70,8 +70,7 @@ def t_sf(t: float, df: float) -> float:
         raise ValueError("df must be positive")
     t2 = t * t
     if t2 * (df + 2.0) < 3.0 * df:
-        # betainc(df/2, 1/2, x) would use 1 - x, and x = df / (df + t2)
-        # rounds to 1 near t = 0: its complement takes t2 / (df + t2)
+        # betainc would need 1 - x, lost when x = df / (df + t2) rounds to 1
         p = 0.5 * (1.0 - betainc(0.5, df / 2.0, t2 / (df + t2)))
     else:
         p = 0.5 * betainc(df / 2.0, 0.5, df / (df + t2))

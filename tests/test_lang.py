@@ -1,6 +1,8 @@
 """Core language tests: parsing, printing, typing, sizes, evaluation."""
 
+import copy
 import os
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,8 @@ def test_base_types_are_one_instance_per_name():
     assert BaseTy("Int") is INT
     assert parse_type("Int") is INT
     assert parse_type("(IntList) -> Bool").params[0] is INT_LIST
+    assert copy.deepcopy(parse_type("(Int) -> Bool")).ret is BOOL
+    assert pickle.loads(pickle.dumps(INT_LIST)) is INT_LIST
 
 
 def test_every_type_of_a_loaded_library_is_a_base_instance(tmp_path):
