@@ -87,8 +87,8 @@ def test_subnormal_pooled_variance_is_degenerate():
 
 
 def test_t_sf_keeps_its_precision_near_zero():
-    # With one degree of freedom T is Cauchy: P(T >= t) = 1/2 - atan(t)/pi.
-    # Near 0, df / (df + t^2) rounds to 1, which used to give exactly 1/2.
+    # With one degree of freedom T is Cauchy: P(T >= t) = 1/2 - atan(t)/pi,
+    # which holds to the last bits also where df / (df + t^2) rounds to 1.
     for t in (3.9e-8, 1e-6, -1e-5, 0.01):
         assert t_sf(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi,
                                            rel=1e-14)
