@@ -240,18 +240,18 @@ def bind_input_vars(body: Term, params) -> Lam:
     `params` lists the parameter names first-to-last; name j becomes index
     ``arity-1-j`` at the top level (deeper under nested lambdas).
     """
-    arity = len(params)
+    return Lam(len(params), _bind(body, 0, params))
 
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, InputVar) and t.name in params:
-            return BoundVar(depth + (arity - 1 - params.index(t.name)))
-        if isinstance(t, Lam):
-            return Lam(t.arity, go(t.body, depth + t.arity))
-        if isinstance(t, Apply):
-            return Apply(go(t.fn, depth), tuple(go(a, depth) for a in t.args))
-        return t
 
-    return Lam(arity, go(body, 0))
+def _bind(t: Term, depth: int, params) -> Term:
+    if isinstance(t, InputVar) and t.name in params:
+        return BoundVar(depth + (len(params) - 1 - params.index(t.name)))
+    if isinstance(t, Lam):
+        return Lam(t.arity, _bind(t.body, depth + t.arity, params))
+    if isinstance(t, Apply):
+        return Apply(_bind(t.fn, depth, params),
+                     tuple(_bind(a, depth, params) for a in t.args))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -441,73 +441,78 @@ def infer_type(t: Term, input_types: Mapping[str, Ty], symbols: Mapping[str, Ty]
     otherwise filled in at first constrained use (e.g. ``+`` forces Int).
     When `record` is a dict, it is filled with path -> Ty for every subtree.
     """
-    env = []  # innermost-first; slots may be None until constrained
+    return _check(t, expected, (), [], input_types, symbols, record)
 
-    def fail(msg):
-        raise LangError(msg)
 
-    def check(t: Term, expected: Optional[Ty], path) -> Ty:
-        if isinstance(t, BoundVar):
-            if t.index >= len(env):
-                fail(f"unbound index ${t.index}")
-            if env[t.index] is None:
-                if expected is None:
-                    fail(f"cannot determine type of ${t.index}")
-                env[t.index] = expected
-            got = env[t.index]
-        elif isinstance(t, InputVar):
-            if t.name not in input_types:
-                fail(f"unknown variable {t.name!r}")
-            got = input_types[t.name]
-        elif isinstance(t, ConstInt):
-            got = INT
-        elif isinstance(t, ConstBool):
-            got = BOOL
-        elif isinstance(t, ConstList):
-            got = INT_LIST
-        elif isinstance(t, PrimRef):
-            if t.name not in symbols:
-                fail(f"unknown operation {t.name!r}")
-            got = symbols[t.name]
-        elif isinstance(t, Apply):
-            fty = check(t.fn, None, path + (0,))
-            if not isinstance(fty, Arrow):
-                fail(f"applying non-function of type {fty!r}")
-            if len(t.args) != len(fty.params):
-                fail(f"arity mismatch: {format_term(t.fn)} takes "
-                     f"{len(fty.params)} args, got {len(t.args)}")
-            for i, (arg, pty) in enumerate(zip(t.args, fty.params)):
-                check(arg, pty, path + (i + 1,))
-            got = fty.ret
-        elif isinstance(t, Lam):
-            if expected is not None:
-                if not isinstance(expected, Arrow) or len(expected.params) != t.arity:
-                    fail(f"lambda of arity {t.arity} where {expected!r} expected")
-                for p in reversed(expected.params):
-                    env.insert(0, p)
-                check(t.body, expected.ret, path + (0,))
-                del env[:t.arity]
-                if record is not None:
-                    record[path] = expected
-                return expected
-            for _ in range(t.arity):
-                env.insert(0, None)
-            body_ty = check(t.body, None, path + (0,))
-            slots = env[:t.arity]
+def _check(t: Term, expected: Optional[Ty], path, env: list,
+           input_types: Mapping[str, Ty], symbols: Mapping[str, Ty],
+           record: Optional[dict]) -> Ty:
+    """infer_type of the subterm `t` at `path`; `env` holds the bound
+    variables' types innermost-first, a slot None until constrained."""
+    if isinstance(t, BoundVar):
+        if t.index >= len(env):
+            raise LangError(f"unbound index ${t.index}")
+        if env[t.index] is None:
+            if expected is None:
+                raise LangError(f"cannot determine type of ${t.index}")
+            env[t.index] = expected
+        got = env[t.index]
+    elif isinstance(t, InputVar):
+        if t.name not in input_types:
+            raise LangError(f"unknown variable {t.name!r}")
+        got = input_types[t.name]
+    elif isinstance(t, ConstInt):
+        got = INT
+    elif isinstance(t, ConstBool):
+        got = BOOL
+    elif isinstance(t, ConstList):
+        got = INT_LIST
+    elif isinstance(t, PrimRef):
+        if t.name not in symbols:
+            raise LangError(f"unknown operation {t.name!r}")
+        got = symbols[t.name]
+    elif isinstance(t, Apply):
+        fty = _check(t.fn, None, path + (0,), env, input_types, symbols,
+                     record)
+        if not isinstance(fty, Arrow):
+            raise LangError(f"applying non-function of type {fty!r}")
+        if len(t.args) != len(fty.params):
+            raise LangError(f"arity mismatch: {format_term(t.fn)} takes "
+                            f"{len(fty.params)} args, got {len(t.args)}")
+        for i, (arg, pty) in enumerate(zip(t.args, fty.params)):
+            _check(arg, pty, path + (i + 1,), env, input_types, symbols,
+                   record)
+        got = fty.ret
+    elif isinstance(t, Lam):
+        if expected is not None:
+            if not isinstance(expected, Arrow) or len(expected.params) != t.arity:
+                raise LangError(
+                    f"lambda of arity {t.arity} where {expected!r} expected")
+            for p in reversed(expected.params):
+                env.insert(0, p)
+            _check(t.body, expected.ret, path + (0,), env, input_types,
+                   symbols, record)
             del env[:t.arity]
-            if any(s is None for s in slots):
-                fail("cannot infer lambda parameter types")
-            got = Arrow(tuple(reversed(slots)), body_ty)
-        else:
-            fail(f"not a term: {t!r}")
-        if expected is not None and got != expected:
-            fail(f"type mismatch at {format_term(t)}: expected {expected!r}, "
-                 f"got {got!r}")
-        if record is not None:
-            record[path] = got
-        return got
-
-    return check(t, expected, ())
+            if record is not None:
+                record[path] = expected
+            return expected
+        for _ in range(t.arity):
+            env.insert(0, None)
+        body_ty = _check(t.body, None, path + (0,), env, input_types, symbols,
+                         record)
+        slots = env[:t.arity]
+        del env[:t.arity]
+        if any(s is None for s in slots):
+            raise LangError("cannot infer lambda parameter types")
+        got = Arrow(tuple(reversed(slots)), body_ty)
+    else:
+        raise LangError(f"not a term: {t!r}")
+    if expected is not None and got != expected:
+        raise LangError(f"type mismatch at {format_term(t)}: expected "
+                        f"{expected!r}, got {got!r}")
+    if record is not None:
+        record[path] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

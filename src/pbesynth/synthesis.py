@@ -140,7 +140,7 @@ def eval_outcomes(term: Term, task: Task, limits: EvalLimits, prims,
 # Value store
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ValueEntry:
     term: Term
     weight: int
@@ -952,11 +952,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     seen = dict.fromkeys(executed, (0, 0))
     sampled_any = False
 
-    def tuple_key(tup):
-        # the parameter's type and the entry's fix how the entry is placed,
-        # so (index, weight) pairs identify the term within one operation
-        return tuple([(e.index, e.weight) for e, _ in tup])
-
     def finished():
         return (solution is not None and cfg.stop_on_solve) or \
             clock.now() >= cfg.per_task_timeout
@@ -977,7 +972,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                 tuples = beam_select_args(op, store, scorer, cfg.beam_size,
                                           task)
             for tup in tuples:
-                key = tuple_key(tup)
+                key = _executed_key(tup)
                 if key not in executed[op.name]:
                     yield op, tup, key
 
@@ -998,7 +993,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
                 tup = tuple(zip(drawn, op.signature.params))
                 if admissible(tup, store.allowed):
                     sampled_any = True
-                    yield op, tup, tuple_key(tup)
+                    yield op, tup, _executed_key(tup)
                 else:
                     clock.tick()
 
@@ -1072,25 +1067,39 @@ def _fresh_product(op: Operation, store: ValueStore, seen: int,
             return iter(())
         lists.append(sorted(((e, pty) for e in cands),
                             key=lambda c: (c[0].weight, c[0].index)))
-    budget = max_weight - 1
-    k = len(lists)
-    allowed = store.allowed
+    return _fresh_tuples(lists, 0, [], max_weight - 1, False, seen, improved,
+                         store.allowed)
 
-    def rec(j, acc, wsum, fresh):
-        last = j == k - 1
-        for pair in lists[j]:
-            e = pair[0]
-            if wsum + e.weight > budget:
-                break
-            acc.append(pair)
-            now_fresh = fresh or e.index >= seen or e.index in improved
-            if not last:
-                yield from rec(j + 1, acc, wsum + e.weight, now_fresh)
-            elif now_fresh and admissible(acc, allowed):
-                yield tuple(acc)
-            acc.pop()
 
-    return rec(0, [], 0, False)
+def _fresh_tuples(lists, j, acc, budget, fresh, seen, improved, allowed):
+    """_fresh_product's tuples that extend the prefix `acc` from position
+    `j` on, within the weight left in `budget`; `fresh` tells whether the
+    prefix already uses a new or improved entry."""
+    last = j == len(lists) - 1
+    for pair in lists[j]:
+        e = pair[0]
+        if e.weight > budget:
+            break
+        acc.append(pair)
+        now_fresh = fresh or e.index >= seen or e.index in improved
+        if not last:
+            yield from _fresh_tuples(lists, j + 1, acc, budget - e.weight,
+                                     now_fresh, seen, improved, allowed)
+        elif now_fresh and admissible(acc, allowed):
+            yield tuple(acc)
+        acc.pop()
+
+
+def _executed_key(tup) -> tuple:
+    """An argument tuple's key among its operation's executed tuples:
+    (index0, weight0, index1, weight1, ...).  The parameter's type and the
+    entry's fix how the entry is placed, so index and weight identify the
+    term within one operation."""
+    key = []
+    for e, _ in tup:
+        key.append(e.index)
+        key.append(e.weight)
+    return tuple(key)
 
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):

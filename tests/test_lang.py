@@ -234,6 +234,12 @@ def test_infer_type_lambda_from_context():
     assert infer_type(t, {"xs": INT_LIST}, SYMBOLS) == INT_LIST
 
 
+def test_infer_type_leaves_no_cyclic_garbage(cyclic_garbage):
+    t = parse_term("(Map (lam (Add $0 1)) xs)", NAMES)
+    assert cyclic_garbage(
+        lambda: infer_type(t, {"xs": INT_LIST}, SYMBOLS)) == []
+
+
 def test_infer_type_mismatch():
     t = parse_term("(Add xs 1)", NAMES)
     with pytest.raises(LangError):

@@ -328,6 +328,11 @@ def test_mine_motif_and_rewrite_preserves_semantics():
             assert evaluate(rewritten, dict(inputs), LIMITS, prims) == out
 
 
+def test_mine_leaves_no_cyclic_garbage(cyclic_garbage):
+    corpus, tasks = _motif_corpus()
+    assert cyclic_garbage(lambda: mine(corpus, FULL, tasks)) == []
+
+
 def test_mine_does_not_learn_a_learned_operation_again():
     # the corpus inlines fn_0's body instead of calling fn_0
     corpus, tasks = _motif_corpus()

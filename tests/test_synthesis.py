@@ -5,6 +5,7 @@ full-sort reference."""
 import math
 import os
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -765,6 +766,40 @@ def test_application_table_pins_primitive_calls(monkeypatch):
     lifts.clear()
     ex = exhaustive_search(task, MICRO_LIB, max_weight=4, stop_on_solve=False)
     assert (ex.candidates, len(calls), len(lifts)) == (3383, 2434, 31)
+
+
+@pytest.mark.parametrize("case", ["unbounded search", "beam search",
+                                  "exhaustive search", "trace generation"])
+def test_finished_search_leaves_no_cyclic_garbage(case, cyclic_garbage):
+    """A search, an exhaustive search and trace generation leave nothing in
+    reference cycles, so the store a search built is freed by reference
+    counting as soon as its caller drops it.  A nested function that calls
+    itself holds its own closure cell; on the search path that cycle would
+    keep each round's candidate snapshots, and the entries and terms in
+    them, alive until the collector next ran."""
+    data = os.path.join(os.path.dirname(pbesynth.__file__), "data")
+    motif = next(t for t in load_tasks(os.path.join(data, "micro_tasks.txt"))
+                 if t.name == "motif_00")
+    if case == "unbounded search":
+        cfg = SearchConfig(per_task_timeout=3.5, restart_interval=3.5,
+                           beam_size=None, max_weight=5, virtual_clock=True,
+                           restarts_enabled=False)
+        run = partial(search, motif, MICRO_LIB, UniformScorer(), cfg)
+    elif case == "beam search":
+        task = next(t for t in load_tasks(os.path.join(data, "tasks.txt"))
+                    if t.name == "succ_all")
+        scorer = train_scorer(generate_traces(
+            FULL, TraceGenConfig(max_weight=2, episodes=2)))
+        cfg = SearchConfig(per_task_timeout=0.3, restart_interval=0.3,
+                           beam_size=10, max_weight=8, virtual_clock=True)
+        run = partial(search, task, FULL, scorer, cfg)
+    elif case == "exhaustive search":
+        run = partial(exhaustive_search, motif, MICRO_LIB, max_weight=4,
+                      stop_on_solve=False)
+    else:
+        run = partial(generate_traces, FULL,
+                      TraceGenConfig(max_weight=2, episodes=2))
+    assert cyclic_garbage(run) == []
 
 
 # ---------------------------------------------------------------------------
