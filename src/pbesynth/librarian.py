@@ -230,6 +230,14 @@ class MineConfig:
     prune: bool = True
     max_visited: int = 50000
 
+    def __post_init__(self):
+        # max_rounds=0 mines nothing: the loop without library learning
+        for name, least in (("max_arity", 0), ("max_rounds", 0),
+                            ("min_tasks", 1), ("min_nonvariable", 0),
+                            ("max_visited", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+
 
 def finalize(pattern, matches, lib: DSLibrary, annots, name: str,
              cfg: MineConfig = MineConfig(), iteration: int = 0):

@@ -351,8 +351,14 @@ def test_beam_size_of_zero_exits_2(tasks_file, small_library, capsys):
     ("--episodes", "-2", "episodes", 0),
     ("--targets-per-episode", "-1", "targets_per_episode", 0),
     ("--tracegen-max-weight", "0", "max_weight", 1),
-    ("--train-steps", "-5", "train_steps", 0)])
-def test_trace_and_training_count_below_its_least_exits_2(
+    ("--train-steps", "-5", "train_steps", 0),
+    # mining used to run on these: nothing mined, exit 0
+    ("--max-arity", "-1", "max_arity", 0),
+    ("--max-rounds", "-2", "max_rounds", 0),
+    ("--min-tasks", "0", "min_tasks", 1),
+    ("--min-nonvariable", "-1", "min_nonvariable", 0),
+    ("--max-visited", "0", "max_visited", 1)])
+def test_count_below_its_least_exits_2(
         tmp_path, tasks_file, small_library, flag, value, field, least,
         capsys):
     code = run_cli("loop", "--tasks", tasks_file, "--library", small_library,
