@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 task-format error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -25,8 +24,9 @@ from .guidance import (
 )
 from .librarian import MineConfig, mine
 from .harness import (
-    EvalReport, RunConfig, emit_plot_data, evaluate_runs, load_solutions,
-    run_sleep, run_wake, save_eval_report, save_solutions, wake_sleep_loop,
+    RunConfig, emit_plot_data, evaluate_runs, load_eval_report,
+    load_solutions, run_sleep, run_wake, save_eval_report, save_solutions,
+    wake_sleep_loop, write_json,
 )
 
 OUTPUT_DIR_ENV = "PBESYNTH_OUTPUT_DIR"
@@ -36,7 +36,6 @@ class ConfigError(Exception):
     pass
 
 
-# Config keys: name -> (parser, destination section)
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
@@ -45,38 +44,20 @@ def _parse_bool(text):
     try:
         return _BOOL[text.strip().lower()]
     except KeyError:
-        raise ConfigError(f"not a boolean: {text!r}") from None
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
+# Config keys: every field of these sections whose default is a bool, int,
+# float or str, parsed as that type and named as the field, except a
+# renamed one; a field two sections share (random_seed) is one key.
+_SECTIONS = (RunConfig, SearchConfig, TraceGenConfig, MineConfig)
+_RENAMED = {(TraceGenConfig, "max_weight"): "tracegen_max_weight"}
 _CONFIG_KEYS = {
-    "iterations": int,
-    "trials": int,
-    "workers": int,
-    "random_seed": int,
-    "train_steps": int,
-    "output_dir": str,
-    "per_task_timeout": float,
-    "restart_interval": float,
-    "beam_size": int,
-    "max_weight": int,
-    "stop_on_solve": _parse_bool,
-    "virtual_clock": _parse_bool,
-    "restarts_enabled": _parse_bool,
-    "max_eval_steps": int,
-    "episode_timeout": float,
-    "per_abstraction_bonus": float,
-    "tracegen_max_weight": int,
-    "episodes": int,
-    "targets_per_episode": int,
-    "max_negatives": int,
-    "examples_per_episode": int,
-    "max_arity": int,
-    "max_rounds": int,
-    "min_tasks": int,
-    "min_nonvariable": int,
-    "prune": _parse_bool,
-    "max_visited": int,
-}
+    _RENAMED.get((cls, f.name), f.name):
+        _parse_bool if type(f.default) is bool else type(f.default)
+    for cls in _SECTIONS for f in fields(cls)
+    if type(f.default) in (bool, int, float, str)}
+_CONFIG_KEYS["max_eval_steps"] = int  # both sections' eval_limits.max_steps
 
 
 def read_config_file(path) -> dict:
@@ -114,18 +95,14 @@ def build_run_config(opts: dict) -> RunConfig:
     if "max_eval_steps" in given:
         given["eval_limits"] = EvalLimits(max_steps=given["max_eval_steps"])
 
-    def picked(cls, **keys):
-        out = {}
-        for f in fields(cls):
-            key = keys.get(f.name, f.name)
-            if key in given:
-                out[f.name] = given[key]
-        return out
+    def picked(cls):
+        keys = {f.name: _RENAMED.get((cls, f.name), f.name)
+                for f in fields(cls)}
+        return {name: given[k] for name, k in keys.items() if k in given}
 
     return RunConfig(
         search=SearchConfig(**picked(SearchConfig)),
-        tracegen=TraceGenConfig(**picked(TraceGenConfig,
-                                         max_weight="tracegen_max_weight")),
+        tracegen=TraceGenConfig(**picked(TraceGenConfig)),
         mining=MineConfig(**picked(MineConfig)),
         **picked(RunConfig))
 
@@ -195,9 +172,7 @@ def cmd_wake(args, cfg: RunConfig):
                            "candidates": r.candidates_evaluated}
                   for t, r in wake.results},
     }
-    with open(_out_path(cfg, "wake_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report, _out_path(cfg, "wake_report.json"))
     print(f"solved {wake.solved}/{wake.total}; wrote "
           f"{_out_path(cfg, 'solutions.txt')}")
     return 0
@@ -276,11 +251,8 @@ def cmd_mine(args, cfg: RunConfig):
 
 
 def cmd_report(args, cfg: RunConfig):
-    with open(args.eval_a) as fh:
-        a = EvalReport.from_json(json.load(fh))
-    with open(args.eval_b) as fh:
-        b = EvalReport.from_json(json.load(fh))
-    written = emit_plot_data(a, b, cfg.output_dir)
+    written = emit_plot_data(load_eval_report(args.eval_a),
+                             load_eval_report(args.eval_b), cfg.output_dir)
     for p in written:
         print(p)
     return 0
@@ -306,11 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--solutions", required=True,
                            help="solutions file from a wake run")
         for key, typ in _CONFIG_KEYS.items():
-            flag = "--" + key.replace("_", "-")
-            if typ is _parse_bool:
-                p.add_argument(flag, type=_parse_bool, metavar="BOOL")
-            else:
-                p.add_argument(flag, type=typ)
+            p.add_argument("--" + key.replace("_", "-"), type=typ,
+                           metavar="BOOL" if typ is _parse_bool else None)
 
     p = sub.add_parser("solve", help="solve tasks and print programs")
     common(p, tasks=True)

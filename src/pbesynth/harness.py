@@ -13,14 +13,13 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .lang import (
-    Apply, EvalError, EvalLimits, PrimRef, canon_value, evaluate, format_term,
-    parse_term, subtrees, term_size,
+    Apply, EvalLimits, PrimRef, format_term, parse_term, subtrees, term_size,
 )
 from .dsl import DSLibrary, load_library, save_library
-from .synthesis import SearchConfig, UniformScorer, search
+from .synthesis import SearchConfig, UniformScorer, eval_outcomes, search
 from .guidance import (
     LinearScorer, TraceGenConfig, generate_traces, load_scorer, save_scorer,
     save_traces, train_scorer, warm_start_new_op,
@@ -93,15 +92,10 @@ def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
 
 def verify_solution(task, program, lib: DSLibrary,
                     limits: EvalLimits = EvalLimits()) -> bool:
-    prims = lib.prims()
-    for (inputs, _output), want in zip(task.examples, task.output_sig):
-        try:
-            got = evaluate(program, dict(inputs), limits, prims)
-        except EvalError:
-            return False
-        if canon_value(got) != want:
-            return False
-    return True
+    """Whether `program` gives every example's output, by plain
+    evaluation."""
+    return eval_outcomes(program, task, limits, lib.prims()) == \
+        task.output_sig
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +147,14 @@ def _iteration_complete(d) -> bool:
             return json.load(fh).get("complete", False)
     except (OSError, ValueError):
         return False
+
+
+def write_json(obj, path) -> None:
+    """The one form of every JSON report: indented, keys sorted, and a
+    final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_solutions(results, path) -> None:
@@ -219,7 +221,7 @@ def wake_sleep_loop(tasks, lib: DSLibrary, output_dir,
         save_library(lib, os.path.join(d, "library.txt"))
         save_scorer(scorer, os.path.join(d, "scorer.txt"))
         save_traces(sleep.traces, os.path.join(d, "traces.txt"))
-        report = {
+        write_json({
             "iteration": i,
             "solved": wake.solved,
             "total": wake.total,
@@ -227,22 +229,24 @@ def wake_sleep_loop(tasks, lib: DSLibrary, output_dir,
             "library_version": lib.version,
             "mine_report": sleep.mine_report,
             "complete": True,
-        }
-        with open(os.path.join(d, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        }, os.path.join(d, "report.json"))
     best = max(range(len(solve_counts)),
                key=lambda i: (solve_counts[i], -i)) if solve_counts else 0
-    with open(os.path.join(output_dir, "best.json"), "w") as fh:
-        json.dump({"best_iteration": best,
-                   "solve_counts": solve_counts}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"best_iteration": best, "solve_counts": solve_counts},
+               os.path.join(output_dir, "best.json"))
     return LoopResult(len(solve_counts), lib, scorer, solve_counts, best)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+# the two places EvalReport's JSON form differs from its fields: the solve
+# rate is one object, and weights are string keys
+_SOLVE_RATE = {"solve_rate_mean": "mean", "solve_rate_low": "ci95_low",
+               "solve_rate_high": "ci95_high"}
+_BY_WEIGHT = ("by_weight", "abstraction_by_weight")
+
 
 @dataclass
 class EvalReport:
@@ -260,43 +264,20 @@ class EvalReport:
     candidate_curve: list  # (candidates, cumulative solved), first trial
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "trials": self.trials,
-            "per_trial_solved": self.per_trial_solved,
-            "total": self.total,
-            "solve_rate": {
-                "mean": self.solve_rate_mean,
-                "ci95_low": self.solve_rate_low,
-                "ci95_high": self.solve_rate_high,
-            },
-            "by_weight": {str(k): v
-                          for k, v in sorted(self.by_weight.items())},
-            "abstraction_by_weight": {
-                str(k): v
-                for k, v in sorted(self.abstraction_by_weight.items())},
-            "abstraction_uses": dict(sorted(self.abstraction_uses.items())),
-            "time_curve": self.time_curve,
-            "candidate_curve": self.candidate_curve,
-        }
+        d = asdict(self)
+        d["solve_rate"] = {k: d.pop(f) for f, k in _SOLVE_RATE.items()}
+        for f in _BY_WEIGHT:
+            d[f] = {str(w): n for w, n in d[f].items()}
+        return d
 
     @classmethod
     def from_json(cls, d: dict) -> "EvalReport":
-        return cls(
-            label=d["label"],
-            trials=d["trials"],
-            per_trial_solved=list(d["per_trial_solved"]),
-            total=d["total"],
-            solve_rate_mean=d["solve_rate"]["mean"],
-            solve_rate_low=d["solve_rate"]["ci95_low"],
-            solve_rate_high=d["solve_rate"]["ci95_high"],
-            by_weight={int(k): v for k, v in d["by_weight"].items()},
-            abstraction_by_weight={int(k): v for k, v
-                                   in d["abstraction_by_weight"].items()},
-            abstraction_uses=dict(d["abstraction_uses"]),
-            time_curve=[tuple(x) for x in d["time_curve"]],
-            candidate_curve=[tuple(x) for x in d["candidate_curve"]],
-        )
+        d = dict(d)
+        d.update((f, d["solve_rate"][k]) for f, k in _SOLVE_RATE.items())
+        del d["solve_rate"]
+        for f in _BY_WEIGHT:
+            d[f] = {int(w): n for w, n in d[f].items()}
+        return cls(**d)
 
 
 def _count_learned_uses(program, lib: DSLibrary, uses: dict):
@@ -327,16 +308,11 @@ def evaluate_runs(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
             _count_learned_uses(r.program, lib, uses)
             if uses != before:
                 abs_by_weight[w] = abs_by_weight.get(w, 0) + 1
-        if trial == 0:
-            done = 0
-            for t, r in sorted(solved_pairs, key=lambda p: p[1].elapsed):
-                done += 1
-                time_curve.append([round(r.elapsed, 6), done])
-            done = 0
-            for t, r in sorted(solved_pairs,
-                               key=lambda p: p[1].candidates_evaluated):
-                done += 1
-                cand_curve.append([r.candidates_evaluated, done])
+        if trial == 0:  # [x, tasks solved within x], x ascending
+            time_curve = [[x, n] for n, x in enumerate(
+                sorted(round(r.elapsed, 6) for _, r in solved_pairs), 1)]
+            cand_curve = [[x, n] for n, x in enumerate(
+                sorted(r.candidates_evaluated for _, r in solved_pairs), 1)]
     total = len(tasks)
     rates = [s / total for s in per_trial] if total else [0.0] * trials
     if len(rates) >= 2:
@@ -355,9 +331,49 @@ def compare_evals(a: EvalReport, b: EvalReport):
 
 
 def save_eval_report(report: EvalReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_json(), path)
+
+
+# the JSON types save_eval_report writes (see _check_json)
+_EVAL_JSON = {
+    "label": str, "trials": int, "per_trial_solved": [int], "total": int,
+    "solve_rate": {"mean": float, "ci95_low": float, "ci95_high": float},
+    "by_weight": {str: int}, "abstraction_by_weight": {str: int},
+    "abstraction_uses": {str: int}, "time_curve": [(float, int)],
+    "candidate_curve": [(int, int)]}
+
+
+def _check_json(v, shape, where: str) -> None:
+    """Raise ValueError unless `v` has `shape`: a JSON type (float for any
+    number), a dict of each key's shape ({str: s} for any keys), [s] for a
+    list of any length, or a tuple of shapes for a list of that length."""
+    if type(shape) is list and type(v) is list:
+        shape = tuple(shape * len(v))
+    if type(shape) is dict and str in shape and type(v) is dict:
+        shape = dict.fromkeys(v, shape[str])
+    if type(shape) is dict and type(v) is dict:
+        if set(v) != set(shape):
+            raise ValueError(f"{where}: keys {sorted(v)}, expected "
+                             f"{sorted(shape)}")
+        for k in v:
+            _check_json(v[k], shape[k], f"{where}.{k}")
+    elif type(shape) is tuple and type(v) is list and len(v) == len(shape):
+        for i, (x, s) in enumerate(zip(v, shape)):
+            _check_json(x, s, f"{where}[{i}]")
+    elif not (type(v) is shape or (shape is float and type(v) is int)):
+        raise ValueError(f"{where}: not what an eval report holds: {v!r}")
+
+
+def load_eval_report(path) -> EvalReport:
+    """An eval report file; ValueError for a missing or extra key, or a
+    value of another JSON type than save_eval_report writes."""
+    with open(path) as fh:
+        try:
+            d = json.load(fh)
+            _check_json(d, _EVAL_JSON, "report")
+            return EvalReport.from_json(d)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +385,9 @@ def emit_plot_data(summary_a: EvalReport, summary_b: EvalReport,
     """CSV series comparing two evaluation runs; returns paths written.
 
     Five files: per-length success, per-length abstraction usage, time
-    curves, candidate curves, and the significance table."""
+    curves, candidate curves, and the significance table.  Two reports
+    the t-test cannot compare leave no file."""
+    test = compare_evals(summary_a, summary_b)
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -402,7 +420,6 @@ def emit_plot_data(summary_a: EvalReport, summary_b: EvalReport,
                                  "tasks_solved"],
          [[a, c, n] for c, n in summary_a.candidate_curve]
          + [[b, c, n] for c, n in summary_b.candidate_curve])
-    test = compare_evals(summary_a, summary_b)
     emit("significance.csv",
          ["run_a", "run_b", "mean_a", "mean_b", "t_statistic", "p_value",
           "significant_5pct", "degenerate"],

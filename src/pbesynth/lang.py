@@ -13,6 +13,7 @@ but carry zero weight.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -327,6 +328,11 @@ def _tokenize(text: str):
         i = j
 
 
+# what parse_term parses: (token, offset) pairs, the text's length, and
+# its arguments
+_Source = namedtuple("_Source", "tokens end primitives input_names")
+
+
 def parse_term(text: str, primitives, input_names=None) -> Term:
     """Parse one S-expression into a Term.
 
@@ -335,97 +341,80 @@ def parse_term(text: str, primitives, input_names=None) -> Term:
     raise an unknown-symbol error.  The result must be closed (every ``$i``
     under enough binders).
     """
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def error(msg: str, offset: int):
-        raise LangError(f"offset {offset}: {msg}")
-
-    def next_token():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise LangError(f"offset {len(text)}: unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_one() -> Term:
-        tok, off = next_token()
-        if tok == "(":
-            head, hoff = next_token()
-            if head == "lam" or (head.startswith("lam") and head[3:].isdigit()):
-                arity = 1 if head == "lam" else int(head[3:])
-                if arity < 1:
-                    error("lambda arity must be >= 1", hoff)
-                body = parse_one()
-                close, coff = next_token()
-                if close != ")":
-                    error("expected ')'", coff)
-                return Lam(arity, body)
-            # application: head is itself a term
-            if head in (")", "]"):
-                error(f"unexpected {head!r}", hoff)
-            fn = parse_pushed(head, hoff) if head in ("(", "[") else parse_atom(head, hoff)
-            args = []
-            while True:
-                tok2, off2 = peek()
-                if tok2 == ")":
-                    next_token()
-                    break
-                args.append(parse_one())
-            if not args:
-                error("application needs at least one argument", off)
-            return Apply(fn, tuple(args))
-        if tok == "[":
-            values = []
-            while True:
-                tok2, off2 = next_token()
-                if tok2 == "]":
-                    break
-                try:
-                    values.append(int(tok2))
-                except ValueError:
-                    error(f"expected integer in list literal, got {tok2!r}", off2)
-            return ConstList(tuple(values))
-        if tok in ")]":
-            error(f"unexpected {tok!r}", off)
-        return parse_atom(tok, off)
-
-    def parse_pushed(tok, off) -> Term:
-        nonlocal pos
-        pos -= 1
-        return parse_one()
-
-    def peek():
-        if pos >= len(tokens):
-            raise LangError(f"offset {len(text)}: unexpected end of input")
-        return tokens[pos]
-
-    def parse_atom(tok: str, off: int) -> Term:
-        if tok.startswith("$"):
-            if not tok[1:].isdigit():
-                error(f"bad bound-variable token {tok!r}", off)
-            return BoundVar(int(tok[1:]))
-        if tok == "true":
-            return ConstBool(True)
-        if tok == "false":
-            return ConstBool(False)
-        try:
-            return ConstInt(int(tok))
-        except ValueError:
-            pass
-        if tok in primitives:
-            return PrimRef(tok)
-        if input_names is not None and tok not in input_names and not tok.startswith("%"):
-            error(f"unknown symbol {tok!r}", off)
-        return InputVar(tok)
-
-    term = parse_one()
-    if pos != len(tokens):
-        raise LangError(f"offset {tokens[pos][1]}: trailing input")
+    src = _Source(list(_tokenize(text)), len(text), primitives, input_names)
+    term, pos = _parse(src, 0)
+    if pos != len(src.tokens):
+        raise LangError(f"offset {src.tokens[pos][1]}: trailing input")
     if not is_closed(term):
         raise LangError(f"unbound index ${max_free_index(term)} in {text!r}")
     return term
+
+
+def _token(src: _Source, pos: int):
+    if pos >= len(src.tokens):
+        raise LangError(f"offset {src.end}: unexpected end of input")
+    return src.tokens[pos]
+
+
+def _parse(src: _Source, pos: int):
+    """(the term starting at token `pos`, the position after it)."""
+    tok, off = _token(src, pos)
+    if tok == "(":
+        head, hoff = _token(src, pos + 1)
+        if head == "lam" or (head.startswith("lam") and head[3:].isdigit()):
+            arity = 1 if head == "lam" else int(head[3:])
+            if arity < 1:
+                raise LangError(f"offset {hoff}: lambda arity must be >= 1")
+            body, pos = _parse(src, pos + 2)
+            close, coff = _token(src, pos)
+            if close != ")":
+                raise LangError(f"offset {coff}: expected ')'")
+            return Lam(arity, body), pos + 1
+        fn, pos = _parse(src, pos + 1)  # the head is itself a term
+        args = []
+        while _token(src, pos)[0] != ")":
+            arg, pos = _parse(src, pos)
+            args.append(arg)
+        if not args:
+            raise LangError(
+                f"offset {off}: application needs at least one argument")
+        return Apply(fn, tuple(args)), pos + 1
+    if tok == "[":
+        values = []
+        while True:
+            pos += 1
+            tok, off = _token(src, pos)
+            if tok == "]":
+                return ConstList(tuple(values)), pos + 1
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise LangError(f"offset {off}: expected integer in list "
+                                f"literal, got {tok!r}") from None
+    if tok in ")]":
+        raise LangError(f"offset {off}: unexpected {tok!r}")
+    return _atom(src, tok, off), pos + 1
+
+
+def _atom(src: _Source, tok: str, off: int) -> Term:
+    if tok.startswith("$"):
+        if not tok[1:].isdigit():
+            raise LangError(f"offset {off}: bad bound-variable token {tok!r}")
+        return BoundVar(int(tok[1:]))
+    if tok == "true":
+        return ConstBool(True)
+    if tok == "false":
+        return ConstBool(False)
+    try:
+        return ConstInt(int(tok))
+    except ValueError:
+        pass
+    if tok in src.primitives:
+        return PrimRef(tok)
+    if src.input_names is not None and tok not in src.input_names \
+            and not tok.startswith("%"):
+        raise LangError(f"offset {off}: unknown symbol {tok!r}")
+    return InputVar(tok)
 
 
 # ---------------------------------------------------------------------------

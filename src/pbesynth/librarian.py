@@ -23,7 +23,7 @@ from .lang import (
     EvalError, InputVar, Lam, PrimRef, format_term, free_input_vars,
     infer_type, max_free_index, replace_at, subterm_at, subtrees, term_size,
 )
-from .dsl import DSLibrary, zero_arity_literal
+from .dsl import DSLibrary, extend_with_abstraction, zero_arity_literal
 
 
 @dataclass(frozen=True)
@@ -60,43 +60,35 @@ def canonicalize(p):
 
 
 def format_pattern(p) -> str:
+    """A pattern as text, a hole as ``?id``.  Holes never sit under a
+    pattern lambda, so lambdas are printed as terms."""
     if isinstance(p, Hole):
         return f"?{p.id}"
     if isinstance(p, Apply):
-        parts = [format_pattern(p.fn)] + [format_pattern(a) for a in p.args]
-        return "(" + " ".join(parts) + ")"
-    if isinstance(p, Lam):
-        suffix = "" if p.arity == 1 else str(p.arity)
-        return f"(lam{suffix} {format_pattern(p.body)})"
+        return "(" + " ".join(map(format_pattern, (p.fn,) + p.args)) + ")"
     return format_term(p)
+
+
+def _node_count(p, leaves) -> int:
+    """Nodes of `p` on term_size's scale that are an operation head or an
+    instance of `leaves`; holes, bound variables and bare heads count
+    zero."""
+    if isinstance(p, Apply):
+        head = 1 if isinstance(p.fn, PrimRef) else _node_count(p.fn, leaves)
+        return head + sum(_node_count(a, leaves) for a in p.args)
+    if isinstance(p, Lam):
+        return _node_count(p.body, leaves)
+    return int(isinstance(p, leaves))
 
 
 def non_hole_size(p) -> int:
     """Pattern weight with holes counting zero (same scale as term_size)."""
-    if isinstance(p, Hole):
-        return 0
-    if isinstance(p, Apply):
-        head = 1 if isinstance(p.fn, PrimRef) else non_hole_size(p.fn)
-        return head + sum(non_hole_size(a) for a in p.args)
-    if isinstance(p, Lam):
-        return non_hole_size(p.body)
-    if isinstance(p, (ConstInt, ConstBool, ConstList, InputVar)):
-        return 1
-    return 0  # BoundVar, PrimRef
+    return _node_count(p, (ConstInt, ConstBool, ConstList, InputVar))
 
 
 def nonvariable_expressions(p) -> int:
     """How many nodes are expressions rather than variables or holes."""
-    if isinstance(p, Hole):
-        return 0
-    if isinstance(p, Apply):
-        head = 1 if isinstance(p.fn, PrimRef) else nonvariable_expressions(p.fn)
-        return head + sum(nonvariable_expressions(a) for a in p.args)
-    if isinstance(p, Lam):
-        return nonvariable_expressions(p.body)
-    if isinstance(p, (ConstInt, ConstBool, ConstList)):
-        return 1
-    return 0  # variables
+    return _node_count(p, (ConstInt, ConstBool, ConstList))
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +103,7 @@ class Match:
     bindings: tuple  # of (hole id, Term), sorted by id
 
     def binding(self, hole_id: int) -> Term:
-        for h, t in self.bindings:
-            if h == hole_id:
-                return t
-        raise KeyError(hole_id)
+        return dict(self.bindings)[hole_id]
 
 
 def _match_at(pattern, sub, bindings: dict) -> bool:
@@ -334,34 +323,19 @@ def annotate_corpus(corpus, tasks, lib: DSLibrary):
 # ---------------------------------------------------------------------------
 
 def _binding_roots(matches, hole_id):
-    """Distinct shapes bound by `hole_id`, in corpus order."""
-    roots = []
-    seen = set()
+    """One subtree bound by `hole_id` per distinct shape, in corpus order:
+    an application's shape is its operation name (None for any other head)
+    and arity, and any other subtree is its own shape.  A task input is
+    left out: only a hole can generalize it."""
+    roots = {}
     for m in matches:
         b = m.binding(hole_id)
         if isinstance(b, Apply):
-            if isinstance(b.fn, PrimRef):
-                key = ("op", b.fn.name, len(b.args))
-            else:
-                key = ("apply", len(b.args))
-        elif isinstance(b, ConstInt):
-            key = ("const", "i", b.value)
-        elif isinstance(b, ConstBool):
-            key = ("const", "b", b.value)
-        elif isinstance(b, ConstList):
-            key = ("const", "l", b.values)
-        elif isinstance(b, BoundVar):
-            key = ("bvar", b.index)
-        elif isinstance(b, Lam):
-            key = ("lam", b)
-        elif isinstance(b, PrimRef):
-            key = ("prim", b.name)
-        else:
-            continue  # InputVar: only a hole can generalize it
-        if key not in seen:
-            seen.add(key)
-            roots.append((key, b))
-    return roots
+            head = b.fn.name if isinstance(b.fn, PrimRef) else None
+            roots.setdefault((head, len(b.args)), b)
+        elif not isinstance(b, InputVar):
+            roots.setdefault(b, b)
+    return list(roots.values())
 
 
 def _replace_hole(pattern, hole_id, replacement):
@@ -378,21 +352,16 @@ def _expansions(pattern, matches, hole_id, next_hole):
         if hid != hole_id:
             out.append((_replace_hole(pattern, hole_id, Hole(hid)),
                         next_hole, ()))
-    for key, b in _binding_roots(matches, hole_id):
-        kind = key[0]
-        if kind == "op":
-            k = key[2]
-            fresh = tuple(Hole(next_hole + i) for i in range(k))
-            rep = Apply(PrimRef(key[1]), fresh)
+    for b in _binding_roots(matches, hole_id):
+        if isinstance(b, Apply):
+            # an operation stays; any other head becomes a hole as well
+            op = isinstance(b.fn, PrimRef)
+            n = len(b.args) if op else len(b.args) + 1
+            fresh = tuple(Hole(next_hole + i) for i in range(n))
+            rep = Apply(b.fn, fresh) if op else Apply(fresh[0], fresh[1:])
             out.append((_replace_hole(pattern, hole_id, rep),
-                        next_hole + k, tuple(h.id for h in fresh)))
-        elif kind == "apply":
-            k = key[1]
-            fresh = tuple(Hole(next_hole + i) for i in range(k + 1))
-            rep = Apply(fresh[0], fresh[1:])
-            out.append((_replace_hole(pattern, hole_id, rep),
-                        next_hole + k + 1, tuple(h.id for h in fresh)))
-        else:  # const / bvar / lam / prim: substitute the concrete subtree
+                        next_hole + len(fresh), tuple(h.id for h in fresh)))
+        else:  # substitute the concrete subtree
             out.append((_replace_hole(pattern, hole_id, b), next_hole, ()))
     return out
 
@@ -545,8 +514,6 @@ def mine(corpus, lib: DSLibrary, tasks, cfg: MineConfig = MineConfig(),
     """Repeatedly extract the best abstraction and rewrite the corpus with
     it, extending the library as we go, until nothing of value remains or
     max_rounds is hit."""
-    from .dsl import extend_with_abstraction
-
     corpus = {k: list(v) for k, v in corpus.items()}
     found = []
     lines = []

@@ -8,8 +8,11 @@ import sys
 import pytest
 
 import pbesynth
-from pbesynth.cli import ConfigError, build_run_config, main, read_config_file
-from pbesynth.harness import RunConfig
+from pbesynth.cli import (
+    _CONFIG_KEYS, ConfigError, _parse_bool, build_run_config, main,
+    read_config_file,
+)
+from pbesynth.harness import EvalReport, RunConfig, save_eval_report
 from pbesynth.dsl import (
     DSLibrary, default_list_dsl, load_library, save_library,
 )
@@ -90,6 +93,44 @@ def test_read_config_file_rejects_bad_value(tmp_path):
     p.write_text("iterations = soon\n")
     with pytest.raises(ConfigError):
         read_config_file(str(p))
+
+
+def test_config_keys_are_the_config_fields():
+    # the table that was kept by hand beside the config dataclasses
+    assert _CONFIG_KEYS == {
+        "iterations": int, "trials": int, "workers": int,
+        "random_seed": int, "train_steps": int, "output_dir": str,
+        "per_task_timeout": float, "restart_interval": float,
+        "beam_size": int, "max_weight": int, "stop_on_solve": _parse_bool,
+        "virtual_clock": _parse_bool, "restarts_enabled": _parse_bool,
+        "max_eval_steps": int, "episode_timeout": float,
+        "per_abstraction_bonus": float, "tracegen_max_weight": int,
+        "episodes": int, "targets_per_episode": int, "max_negatives": int,
+        "examples_per_episode": int, "max_arity": int, "max_rounds": int,
+        "min_tasks": int, "min_nonvariable": int, "prune": _parse_bool,
+        "max_visited": int,
+    }
+
+
+@pytest.mark.parametrize("form", ["flag", "file"])
+@pytest.mark.parametrize("key", ["stop_on_solve", "virtual_clock",
+                                 "restarts_enabled", "prune"])
+def test_bad_boolean_exits_2(tmp_path, tasks_file, key, form, capsys):
+    if form == "flag":
+        # it used to end in a ConfigError traceback with exit 1
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as stop:
+            run_cli("solve", "--tasks", tasks_file, flag, "maybe")
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: invalid" in err and "'maybe'" in err
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = maybe\n")
+        assert run_cli("solve", "--tasks", tasks_file,
+                       "--config", str(path)) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {path}:1: bad value for {key}: 'maybe'\n"
 
 
 def test_build_run_config_keeps_dataclass_defaults():
@@ -250,6 +291,24 @@ def test_eval_and_report(tmp_path, tasks_file, small_library, capsys):
                    "--output-dir", outdir)
     assert code == 0
     assert os.path.exists(os.path.join(outdir, "significance.csv"))
+
+
+def test_report_that_cannot_compare_exits_2_and_writes_nothing(tmp_path,
+                                                               capsys):
+    # it used to write four of its five CSVs first
+    paths = []
+    for label in ("a", "b"):
+        paths.append(str(tmp_path / f"eval_{label}.json"))
+        save_eval_report(EvalReport(label, 1, [2], 3, 2 / 3, 2 / 3, 2 / 3,
+                                    {1: 2}, {}, {}, [[0.5, 1], [1.0, 2]],
+                                    [[10, 1], [30, 2]]), paths[-1])
+    out = tmp_path / "plots"
+    code = run_cli("report", "--eval-a", paths[0], "--eval-b", paths[1],
+                   "--output-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: need at least two samples per group\n"
+    assert not out.exists()
 
 
 def test_ill_typed_library_exits_2(tmp_path, tasks_file, capsys):

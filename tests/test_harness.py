@@ -9,8 +9,8 @@ from pbesynth.dsl import DSLibrary, default_list_dsl
 from pbesynth.guidance import TraceGenConfig
 from pbesynth.harness import (
     EvalReport, RunConfig, compare_evals, emit_plot_data, evaluate_runs,
-    load_solutions, run_sleep, run_wake, save_solutions,
-    verify_solution, wake_sleep_loop,
+    load_eval_report, load_solutions, run_sleep, run_wake, save_eval_report,
+    save_solutions, verify_solution, wake_sleep_loop,
 )
 from pbesynth.lang import (
     INT_LIST, EvalLimits, evaluate, format_term, parse_term,
@@ -251,6 +251,35 @@ def test_eval_report_json_round_trip():
     back = EvalReport.from_json(rep.to_json())
     assert json.dumps(back.to_json(), sort_keys=True) == \
         json.dumps(rep.to_json(), sort_keys=True)
+
+
+def test_eval_report_file_loads_back_equal(tmp_path):
+    rep = evaluate_runs(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
+                        trials=2, label="base")
+    path = tmp_path / "eval.json"
+    save_eval_report(rep, path)
+    assert load_eval_report(path) == rep
+
+
+@pytest.mark.parametrize("key,value", [
+    ("label", None),  # dropped: it used to end in a KeyError
+    ("solve_rate", 5),  # it used to end in a TypeError
+    ("solve_rate", {"mean": 0.5, "ci95_low": 0.5}),
+    ("trials", True), ("per_trial_solved", [1, "2"]),
+    ("by_weight", {"3": 1.5}), ("time_curve", [[0.5]]),
+    ("candidate_curve", [[1, 2, 3]]), ("extra", 1)])
+def test_eval_report_loader_rejects_a_key_or_type_not_written(
+        tmp_path, key, value):
+    d = evaluate_runs(TASKS, SMALL_LIB, UniformScorer(), FAST_SEARCH,
+                      trials=1, label="base").to_json()
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=f"^{path}: report"):
+        load_eval_report(path)
 
 
 def test_compare_identical_evals_is_degenerate_null():

@@ -240,6 +240,18 @@ def test_infer_type_leaves_no_cyclic_garbage(cyclic_garbage):
         lambda: infer_type(t, {"xs": INT_LIST}, SYMBOLS)) == []
 
 
+def test_parsing_leaves_no_cyclic_garbage(cyclic_garbage, tmp_path):
+    body = parse_term("(lam (Map (lam (Add $0 1)) (Reverse $0)))", NAMES)
+    op = Operation("fn_0", parse_type("(IntList) -> IntList"),
+                   abstraction_func(body, PRIMS),
+                   provenance=LearnedAbstraction(body))
+    path = tmp_path / "lib.txt"
+    save_library(DSLibrary(LIB.operations + (op,), LIB.constants), path)
+    assert cyclic_garbage(
+        lambda: parse_term("(Map (lam (Add $0 1)) xs)", NAMES)) == []
+    assert cyclic_garbage(lambda: load_library(path)) == []
+
+
 def test_infer_type_mismatch():
     t = parse_term("(Add xs 1)", NAMES)
     with pytest.raises(LangError):

@@ -6,14 +6,14 @@ from pbesynth.dsl import (
     DSLibrary, Operation, default_list_dsl, extend_with_abstraction,
 )
 from pbesynth.lang import (
-    INT, INT_LIST, Arrow, Apply, ConstInt, EvalLimits, InputVar,
+    INT, INT_LIST, Arrow, Apply, ConstBool, ConstInt, EvalLimits, InputVar,
     evaluate, parse_term, term_size,
 )
 from pbesynth.librarian import (
     Abstraction, Hole, MineConfig, Rejection, annotate_corpus, canonicalize,
     count_matches, deoverlap, finalize, format_pattern, mine, mine_round,
     next_abstraction_name, non_hole_size, nonvariable_expressions,
-    rewrite_program, utility,
+    rewrite_program, utility, _expansions,
 )
 from pbesynth.task import Task
 
@@ -47,6 +47,22 @@ def list_task(name, pairs):
 def test_format_pattern():
     assert format_pattern(p("(Add ?0 1)")) == "(Add ?0 1)"
     assert format_pattern(Hole(2)) == "?2"
+
+
+def test_format_pattern_prints_a_lambda_as_a_term():
+    text = "(ZipWith (lam2 (Add $1 $0)) ?0 (Reverse ?0))"
+    assert format_pattern(p(text)) == text
+
+
+def test_expansions_keep_an_int_and_a_bool_apart():
+    # a hole binding 1 in one program and true in another is refined to
+    # each of them: equal hashes do not make the subtrees one shape
+    corpus = {"a": [parse_term("(Filter (lam true) xs)", NAMES)],
+              "b": [parse_term("(Take xs 1)", NAMES)]}
+    matches = count_matches(Hole(0), corpus)
+    leaves = [new for new, _, opened in _expansions(Hole(0), matches, 0, 1)
+              if not opened]
+    assert ConstInt(1) in leaves and ConstBool(True) in leaves
 
 
 def test_non_hole_size():

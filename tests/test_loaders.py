@@ -14,7 +14,9 @@ from pbesynth.guidance import (
     FEATURE_DIM, LinearScorer, TraceGenConfig, generate_traces, load_scorer,
     load_traces, save_scorer, save_traces,
 )
-from pbesynth.harness import load_solutions
+from pbesynth.harness import (
+    EvalReport, load_eval_report, load_solutions, save_eval_report,
+)
 from pbesynth.lang import LangError, parse_term, parse_type
 from pbesynth.task import TaskFormatError, load_tasks
 
@@ -116,9 +118,17 @@ def _config_file(path):
         fh.write(CONFIG_TEXT)
 
 
+def _eval_file(path):
+    save_eval_report(EvalReport("base", 2, [1, 2], 3, 0.5, 0.25, 0.75,
+                                {3: 2, 5: 1}, {5: 1}, {"fn_0": 1},
+                                [[0.25, 1], [1.5, 2]], [[40, 1], [900, 2]]),
+                     path)
+
+
 LOADERS = {
     "config": (_config_file,
                lambda path, _: build_run_config(read_config_file(path))),
+    "eval": (_eval_file, lambda path, _: load_eval_report(path)),
     "library": (_library_file, lambda path, _: load_library(path)),
     "scorer": (_scorer_file, lambda path, _: load_scorer(path)),
     "traces": (_traces_file, lambda path, _: load_traces(path)),
@@ -169,6 +179,8 @@ def _first_rejected(kind, tmp_path):
 COMMANDS = {
     "config": lambda bad, ok: ["solve", "--tasks", ok["tasks"],
                                "--config", bad],
+    "eval": lambda bad, ok: ["report", "--eval-a", bad,
+                             "--eval-b", ok["eval"]],
     "library": lambda bad, ok: ["solve", "--tasks", ok["tasks"],
                                 "--library", bad],
     "scorer": lambda bad, ok: ["solve", "--tasks", ok["tasks"],
@@ -186,7 +198,9 @@ def test_command_reports_a_rejected_file_in_one_line(kind, tmp_path,
                                                      capsys):
     bad = _first_rejected(kind, tmp_path)
     ok = {"tasks": str(tmp_path / "ok_tasks.txt"),
-          "library": str(tmp_path / "ok_library.txt")}
+          "library": str(tmp_path / "ok_library.txt"),
+          "eval": str(tmp_path / "ok_eval.json")}
+    _eval_file(ok["eval"])
     with open(ok["tasks"], "w") as fh:
         # the tasks the solutions file names
         fh.write(TASKS_TEXT)
