@@ -47,6 +47,13 @@ def _parse_bool(text):
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+_UNBOUNDED = object()  # `beam_size = none`; None is an option left unset
+
+
+def _parse_beam_size(text):
+    return _UNBOUNDED if text.strip().lower() == "none" else int(text)
+
+
 # Config keys: every field of these sections whose default is a bool, int,
 # float or str, parsed as that type and named as the field, except a
 # renamed one; a field two sections share (random_seed) is one key.
@@ -58,6 +65,7 @@ _CONFIG_KEYS = {
     for cls in _SECTIONS for f in fields(cls)
     if type(f.default) in (bool, int, float, str)}
 _CONFIG_KEYS["max_eval_steps"] = int  # both sections' eval_limits.max_steps
+_CONFIG_KEYS["beam_size"] = _parse_beam_size  # an int, or none: unbounded
 
 
 def read_config_file(path) -> dict:
@@ -91,7 +99,8 @@ def build_run_config(opts: dict) -> RunConfig:
     field keeps its dataclass default.  A key names the field it sets,
     except `tracegen_max_weight` (TraceGenConfig.max_weight) and
     `max_eval_steps` (the max_steps of both sections' eval_limits)."""
-    given = {k: v for k, v in opts.items() if v is not None}
+    given = {k: None if v is _UNBOUNDED else v
+             for k, v in opts.items() if v is not None}
     if "max_eval_steps" in given:
         given["eval_limits"] = EvalLimits(max_steps=given["max_eval_steps"])
 

@@ -14,6 +14,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -326,7 +327,7 @@ def train_scorer(data: TraceDataset, init: LinearScorer = None,
         n_updates = min(max_steps, 5 * len(pairs))
         for step in range(n_updates):
             d = tuple(map(sub, *pairs[rng.randrange(len(pairs))]))
-            margin = sum(map(mul, w, d))
+            margin = reduce(add, map(mul, w, d))  # same bits on any Python
             if margin > 30:
                 continue
             g = 1.0 / (1.0 + math.exp(margin))  # sigmoid(-margin)

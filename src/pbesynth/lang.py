@@ -204,10 +204,12 @@ def replace_at(t: Term, path, new: Term) -> Term:
 
 
 def subtrees(t: Term, path=()) -> Iterator:
-    """Yield (path, subterm) pairs in preorder."""
+    """Yield (path, subterm) pairs in preorder, skipping an application's
+    operation head (a PrimRef at child 0); paths still count it."""
     yield path, t
     for i, c in enumerate(children(t)):
-        yield from subtrees(c, path + (i,))
+        if i or not (isinstance(c, PrimRef) and isinstance(t, Apply)):
+            yield from subtrees(c, path + (i,))
 
 
 def max_free_index(t: Term, depth: int = 0) -> int:
@@ -227,12 +229,7 @@ def is_closed(t: Term) -> bool:
 
 
 def free_input_vars(t: Term) -> frozenset:
-    if isinstance(t, InputVar):
-        return frozenset([t.name])
-    out = frozenset()
-    for c in children(t):
-        out |= free_input_vars(c)
-    return out
+    return frozenset(s.name for _, s in subtrees(t) if isinstance(s, InputVar))
 
 
 def bind_input_vars(body: Term, params) -> Lam:

@@ -70,15 +70,12 @@ def format_pattern(p) -> str:
 
 
 def _node_count(p, leaves) -> int:
-    """Nodes of `p` on term_size's scale that are an operation head or an
-    instance of `leaves`; holes, bound variables and bare heads count
+    """Nodes of `p` on term_size's scale: applications of an operation and
+    instances of `leaves`; holes, bound variables and bare heads count
     zero."""
-    if isinstance(p, Apply):
-        head = 1 if isinstance(p.fn, PrimRef) else _node_count(p.fn, leaves)
-        return head + sum(_node_count(a, leaves) for a in p.args)
-    if isinstance(p, Lam):
-        return _node_count(p.body, leaves)
-    return int(isinstance(p, leaves))
+    return sum(isinstance(s, leaves)
+               or isinstance(s, Apply) and isinstance(s.fn, PrimRef)
+               for _, s in subtrees(p))
 
 
 def non_hole_size(p) -> int:
@@ -125,24 +122,12 @@ def _match_at(pattern, sub, bindings: dict) -> bool:
     return pattern == sub
 
 
-def subtree_items(t: Term, path=()):
-    """(path, subtree) preorder, skipping bare PrimRef heads."""
-    yield path, t
-    if isinstance(t, Apply):
-        if not isinstance(t.fn, PrimRef):
-            yield from subtree_items(t.fn, path + (0,))
-        for i, a in enumerate(t.args):
-            yield from subtree_items(a, path + (i + 1,))
-    elif isinstance(t, Lam):
-        yield from subtree_items(t.body, path + (0,))
-
-
 def count_matches(pattern, corpus: Dict[str, list]) -> List[Match]:
     """All matches of `pattern` in `corpus` (task id -> list of programs)."""
     out = []
     for task_id in sorted(corpus):
         for idx, program in enumerate(corpus[task_id]):
-            for path, sub in subtree_items(program):
+            for path, sub in subtrees(program):
                 bindings: dict = {}
                 if _match_at(pattern, sub, bindings):
                     out.append(Match(task_id, idx, path,
@@ -197,7 +182,7 @@ class Abstraction:
     name: str
     arity: int
     signature: object  # Arrow for arity >= 1, a base Ty for arity 0
-    body: Term  # Lam of `arity`, or the literal pattern for arity 0
+    body: Term  # Lam of `arity`, or for arity 0 the pattern's literal
     pattern: object
     utility: UtilityReport
     tasks: tuple
@@ -287,7 +272,7 @@ def finalize(pattern, matches, lib: DSLibrary, annots, name: str,
             return Rejection("not-a-constant", "value has no literal form")
         if (literal, result_ty) in lib.constants:
             return Rejection("duplicate-constant", format_term(literal))
-        return Abstraction(name, 0, result_ty, pattern, pattern, rep,
+        return Abstraction(name, 0, result_ty, literal, pattern, rep,
                            tuple(sorted({m.task_id for m in used})), iteration)
     remap = {h: i for i, h in enumerate(order)}
     body_core = _map_holes(pattern,
@@ -390,7 +375,7 @@ def mine_round(corpus, lib: DSLibrary, tasks, name: str,
         nonlocal counter
         order = pattern_holes(pattern)
         remap = {h: i for i, h in enumerate(order)}
-        key = (format_pattern(canonicalize(pattern)),
+        key = (canonicalize(pattern),
                tuple(sorted(remap[h] for h in open_holes if h in remap)))
         if key in seen:
             return
@@ -449,11 +434,10 @@ def mine_round(corpus, lib: DSLibrary, tasks, name: str,
 # Rewriting
 # ---------------------------------------------------------------------------
 
-def rewrite_program(program: Term, abstraction: Abstraction,
-                    constant_literal: Optional[Term] = None):
+def rewrite_program(program: Term, abstraction: Abstraction):
     """Replace every (outermost, non-overlapping) occurrence of the
-    abstraction's pattern.  Returns (new program, sites rewritten, weight
-    saved)."""
+    abstraction's pattern, by its literal when it has no parameters.
+    Returns (new program, sites rewritten, weight saved)."""
     matches = deoverlap(count_matches(abstraction.pattern, {"_": [program]}))
     if not matches:
         return program, 0, 0
@@ -462,19 +446,14 @@ def rewrite_program(program: Term, abstraction: Abstraction,
     out = program
     for m in sorted(matches, key=lambda m: m.path, reverse=True):
         site = subterm_at(out, m.path)
-        if abstraction.arity == 0:
-            rep = constant_literal if constant_literal is not None \
-                else abstraction.pattern
-        else:
-            rep = Apply(PrimRef(abstraction.name),
-                        tuple(m.binding(h) for h in order))
+        rep = abstraction.body if abstraction.arity == 0 else Apply(
+            PrimRef(abstraction.name), tuple(m.binding(h) for h in order))
         saved += term_size(site) - term_size(rep)
         out = replace_at(out, m.path, rep)
     return out, len(matches), saved
 
 
-def rewrite_corpus(corpus, abstraction: Abstraction,
-                   constant_literal: Optional[Term] = None):
+def rewrite_corpus(corpus, abstraction: Abstraction):
     """Rewrite every program; returns (corpus, total sites, total saved)."""
     out = {}
     sites = 0
@@ -482,7 +461,7 @@ def rewrite_corpus(corpus, abstraction: Abstraction,
     for task_id, programs in corpus.items():
         new_programs = []
         for p in programs:
-            q, n, s = rewrite_program(p, abstraction, constant_literal)
+            q, n, s = rewrite_program(p, abstraction)
             new_programs.append(q)
             sites += n
             saved += s
@@ -527,10 +506,7 @@ def mine(corpus, lib: DSLibrary, tasks, cfg: MineConfig = MineConfig(),
             break
         a = res.abstraction
         lib = extend_with_abstraction(lib, a, iteration)
-        literal = None
-        if a.arity == 0:
-            literal = lib.constants[-1][0]
-        corpus, sites, saved = rewrite_corpus(corpus, a, literal)
+        corpus, sites, saved = rewrite_corpus(corpus, a)
         found.append(a)
         lines.append(
             f"round {round_no}: kept {a.name} arity {a.arity} "

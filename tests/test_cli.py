@@ -9,8 +9,8 @@ import pytest
 
 import pbesynth
 from pbesynth.cli import (
-    _CONFIG_KEYS, ConfigError, _parse_bool, build_run_config, main,
-    read_config_file,
+    _CONFIG_KEYS, ConfigError, _parse_beam_size, _parse_bool,
+    build_run_config, main, read_config_file,
 )
 from pbesynth.harness import EvalReport, RunConfig, save_eval_report
 from pbesynth.dsl import (
@@ -101,9 +101,10 @@ def test_config_keys_are_the_config_fields():
         "iterations": int, "trials": int, "workers": int,
         "random_seed": int, "train_steps": int, "output_dir": str,
         "per_task_timeout": float, "restart_interval": float,
-        "beam_size": int, "max_weight": int, "stop_on_solve": _parse_bool,
-        "virtual_clock": _parse_bool, "restarts_enabled": _parse_bool,
-        "max_eval_steps": int, "episode_timeout": float,
+        "beam_size": _parse_beam_size, "max_weight": int,
+        "stop_on_solve": _parse_bool, "virtual_clock": _parse_bool,
+        "restarts_enabled": _parse_bool, "max_eval_steps": int,
+        "episode_timeout": float,
         "per_abstraction_bonus": float, "tracegen_max_weight": int,
         "episodes": int, "targets_per_episode": int, "max_negatives": int,
         "examples_per_episode": int, "max_arity": int, "max_rounds": int,
@@ -402,6 +403,26 @@ def test_beam_size_of_zero_exits_2(tasks_file, small_library, capsys):
                    *FAST_FLAGS, "--beam-size", "0")
     assert code == 2
     assert capsys.readouterr().err == "error: beam_size must be >= 1\n"
+
+
+@pytest.mark.parametrize("form", ["flag", "file"])
+def test_beam_size_none_is_unbounded_search(tmp_path, tasks_file,
+                                            small_library, monkeypatch,
+                                            form):
+    # "none" used to exit 2 with "invalid int value: 'none'"
+    widths = []
+    real = pbesynth.cli.search
+    monkeypatch.setattr(pbesynth.cli, "search", lambda task, lib, sc, cfg: (
+        widths.append(cfg.beam_size) or real(task, lib, sc, cfg)))
+    if form == "flag":
+        given = ["--beam-size", "none"]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text("beam_size = None\n")
+        given = ["--config", str(path)]
+    assert run_cli("solve", "--tasks", tasks_file, "--library", small_library,
+                   *FAST_FLAGS, *given) == 0
+    assert widths == [None, None, None]
 
 
 @pytest.mark.parametrize("flag,value,field,least", [

@@ -13,7 +13,7 @@ from pbesynth.lang import (
     ConstList, InputVar, Lam, PrimRef, EvalError, EvalLimits, LangError,
     bind_input_vars, evaluate, format_term, free_input_vars, infer_type,
     invoke_prim, is_closed, is_function_value, max_free_index, parse_term,
-    parse_type, term_size,
+    parse_type, subtrees, term_size,
 )
 from pbesynth.dsl import (
     DSLibrary, LearnedAbstraction, Operation, abstraction_func,
@@ -160,6 +160,42 @@ _terms = st.recursive(_atoms, _apps, max_leaves=8)
 @given(_terms)
 def test_format_parse_round_trip_property(t):
     assert parse_term(format_term(t), NAMES) == t
+
+
+def _reference_subtrees(t, path=()):
+    """(path, subterm) in preorder, skipping an application's operation
+    head, written out case by case."""
+    yield path, t
+    if isinstance(t, Apply):
+        if not isinstance(t.fn, PrimRef):
+            yield from _reference_subtrees(t.fn, path + (0,))
+        for i, a in enumerate(t.args):
+            yield from _reference_subtrees(a, path + (i + 1,))
+    elif isinstance(t, Lam):
+        yield from _reference_subtrees(t.body, path + (0,))
+
+
+# the round-trip grammar plus lambdas, first-class operations and applied
+# non-operation heads; the walk needs no well-typed term
+_walked_terms = st.recursive(
+    st.one_of(_atoms, st.just(PrimRef("IsEven"))),
+    lambda c: st.one_of(
+        _apps(c), c.map(lambda b: Lam(1, b)),
+        st.tuples(c, c).map(lambda p: Apply(Lam(1, p[0]), (p[1],)))),
+    max_leaves=8)
+
+
+@given(st.one_of(_terms, _walked_terms))
+def test_subtrees_matches_reference_walk_property(t):
+    assert list(subtrees(t)) == list(_reference_subtrees(t))
+
+
+def test_subtrees_skips_only_operation_heads():
+    t = parse_term("(Filter IsEven (Map (lam (Add $0 1)) xs))", NAMES)
+    got = dict(subtrees(t))
+    assert got[(1,)] == PrimRef("IsEven")  # an argument, not a head
+    assert (0,) not in got and (2, 0) not in got and (2, 1, 0, 0) not in got
+    assert got[(2, 2)] == InputVar("xs")
 
 
 # ---------------------------------------------------------------------------

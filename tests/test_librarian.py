@@ -7,7 +7,7 @@ from pbesynth.dsl import (
 )
 from pbesynth.lang import (
     INT, INT_LIST, Arrow, Apply, ConstBool, ConstInt, EvalLimits, InputVar,
-    evaluate, parse_term, term_size,
+    evaluate, parse_term, subtrees, term_size,
 )
 from pbesynth.librarian import (
     Abstraction, Hole, MineConfig, Rejection, annotate_corpus, canonicalize,
@@ -103,11 +103,10 @@ def naive_match(pattern, sub, bindings):
 
 
 def naive_count(pattern, corpus):
-    from pbesynth.librarian import subtree_items
     n = 0
     for task_id in sorted(corpus):
         for program in corpus[task_id]:
-            for _, sub in subtree_items(program):
+            for _, sub in subtrees(program):
                 if naive_match(pattern, sub, {}):
                     n += 1
     return n
@@ -395,6 +394,19 @@ def test_mine_rejects_pattern_equal_to_existing_constant():
     assert res.abstractions == []
     assert "'duplicate-constant': 1" in res.report
     assert res.library.constants == FULL.constants
+
+
+def test_mine_keeps_a_constant_as_its_literal():
+    corpus = {"a": [parse_term("(Take xs (Add 2 2))", NAMES)],
+              "b": [parse_term("(Drop xs (Add 2 2))", NAMES)]}
+    tasks = {"a": list_task("a", [((1, 2, 3, 4, 5), [1, 2, 3, 4])]),
+             "b": list_task("b", [((1, 2, 3, 4, 5), [5])])}
+    res = mine(corpus, FULL, tasks)
+    assert [a.name for a in res.abstractions] == ["fn_0"]
+    assert res.abstractions[0].body == ConstInt(4)
+    assert res.corpus == {"a": [parse_term("(Take xs 4)", NAMES)],
+                          "b": [parse_term("(Drop xs 4)", NAMES)]}
+    assert res.library.constants == FULL.constants + ((ConstInt(4), INT),)
 
 
 def test_prune_on_off_agree():
