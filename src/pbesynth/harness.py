@@ -214,6 +214,10 @@ def wake_sleep_loop(tasks, lib: DSLibrary, output_dir,
         wake = run_wake(tasks, lib, scorer, cfg.search, cfg.workers)
         solve_counts.append(wake.solved)
         save_solutions(wake.results, os.path.join(d, "solutions.txt"))
+        learned_uses: dict = {}
+        for _, r in wake.results:
+            if r.solved:
+                _count_learned_uses(r.program, lib, learned_uses)
         sleep = run_sleep(wake.corpus(), lib, scorer, tasks_by_name,
                           cfg.mining, cfg.tracegen, cfg.random_seed,
                           cfg.train_steps, iteration=i)
@@ -227,6 +231,7 @@ def wake_sleep_loop(tasks, lib: DSLibrary, output_dir,
             "total": wake.total,
             "new_abstractions": [a.name for a in sleep.abstractions],
             "library_version": lib.version,
+            "learned_uses": learned_uses,
             "mine_report": sleep.mine_report,
             "complete": True,
         }, os.path.join(d, "report.json"))
@@ -281,10 +286,13 @@ class EvalReport:
 
 
 def _count_learned_uses(program, lib: DSLibrary, uses: dict):
+    """Count each applied or first-class reference to a learned operation
+    (`subtrees` yields a first-class PrimRef but not an application's head)."""
     for _path, t in subtrees(program):
-        if isinstance(t, Apply) and isinstance(t.fn, PrimRef) \
-                and lib.has_op(t.fn.name) and lib.op(t.fn.name).is_learned:
-            uses[t.fn.name] = uses.get(t.fn.name, 0) + 1
+        ref = t.fn if isinstance(t, Apply) else t
+        if isinstance(ref, PrimRef) \
+                and lib.has_op(ref.name) and lib.op(ref.name).is_learned:
+            uses[ref.name] = uses.get(ref.name, 0) + 1
 
 
 def evaluate_runs(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,

@@ -931,13 +931,14 @@ class _Clock:
 
 
 def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult:
-    """Round-robin over operations: beam-selected argument tuples first, a
-    unique-sampling round whenever the beam stalls, periodic restarts, and
-    deduplication by value (ValueStore) throughout.
+    """Round-robin over operations, learned ones first (each group in library
+    order): beam-selected argument tuples first, a unique-sampling round
+    whenever the beam stalls, periodic restarts, and deduplication by value
+    (ValueStore) throughout.
 
     Both rounds are tuple sources that one executor, `run`, drains."""
     prims = lib.prims()
-    ops = lib.operations
+    ops = sorted(lib.operations, key=lambda op: not op.is_learned)
     clock = _Clock(cfg.virtual_clock)
     candidates = 0
     restarts = 0

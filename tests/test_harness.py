@@ -5,15 +5,19 @@ import os
 
 import pytest
 
-from pbesynth.dsl import DSLibrary, default_list_dsl
+from pbesynth.dsl import (
+    DSLibrary, LearnedAbstraction, Operation, abstraction_func,
+    default_list_dsl,
+)
 from pbesynth.guidance import TraceGenConfig
 from pbesynth.harness import (
-    EvalReport, RunConfig, compare_evals, emit_plot_data, evaluate_runs,
-    load_eval_report, load_solutions, run_sleep, run_wake, save_eval_report,
-    save_solutions, verify_solution, wake_sleep_loop,
+    EvalReport, RunConfig, _count_learned_uses, compare_evals,
+    emit_plot_data, evaluate_runs, load_eval_report, load_solutions,
+    run_sleep, run_wake, save_eval_report, save_solutions, verify_solution,
+    wake_sleep_loop,
 )
 from pbesynth.lang import (
-    INT_LIST, EvalLimits, evaluate, format_term, parse_term,
+    INT_LIST, EvalLimits, evaluate, format_term, parse_term, parse_type,
 )
 from pbesynth.librarian import MineConfig
 from pbesynth.synthesis import SearchConfig, SolveResult, UniformScorer
@@ -26,6 +30,14 @@ NAMES = set(FULL.op_names())
 def sub_dsl(*names):
     return DSLibrary([o for o in FULL.operations if o.name in names],
                      FULL.constants)
+
+
+def with_learned(lib, name, ty, text):
+    """`lib` plus one learned operation `name : ty = text`."""
+    body = parse_term(text, set(lib.op_names()))
+    op = Operation(name, parse_type(ty), abstraction_func(body, lib.prims()),
+                   provenance=LearnedAbstraction(body))
+    return DSLibrary(lib.operations + (op,), lib.constants)
 
 
 SMALL_LIB = sub_dsl("Add", "Head", "Reverse", "Sort")
@@ -200,6 +212,25 @@ def test_wake_sleep_loop_persists_iterations(tmp_path):
     assert best == {"best_iteration": 0, "solve_counts": [3, 3]}
 
 
+def test_wake_sleep_loop_reports_the_learned_operations_it_used(tmp_path):
+    lib = with_learned(SMALL_LIB, "fn_0", "(IntList) -> IntList",
+                       "(lam (Reverse (Sort $0)))")
+    task = list_task("rev_sort", "(Reverse (Sort xs))", [[2, 1, 3], [5, 4]])
+    out = str(tmp_path / "run")
+    wake_sleep_loop(TASKS + [task], lib, out,
+                    RunConfig(iterations=1, search=FAST_SEARCH,
+                              tracegen=FAST_TRACES, trials=1,
+                              train_steps=300))
+    # fn_0 runs first in each round, so the Reverse round that follows
+    # reaches the sorted list through it before the Sort round is reached
+    with open(os.path.join(out, "iter_000", "solutions.txt")) as fh:
+        solutions = fh.read().splitlines()
+    assert "srt: (Reverse (fn_0 xs))" in solutions
+    assert "rev_sort: (fn_0 xs)" in solutions
+    with open(os.path.join(out, "iter_000", "report.json")) as fh:
+        assert json.load(fh)["learned_uses"] == {"fn_0": 2}
+
+
 def test_wake_sleep_loop_resumes_completed_iterations(tmp_path):
     out = str(tmp_path / "run")
     first = wake_sleep_loop(TASKS, SMALL_LIB, out,
@@ -243,6 +274,20 @@ def test_evaluate_report_contents():
     assert rep.abstraction_uses == {}
     assert rep.time_curve[-1][1] == 3
     assert rep.candidate_curve[-1][1] == 3
+
+
+@pytest.mark.parametrize("text,uses", [
+    ("(Map fn_0 xs)", {"fn_0": 1}),
+    ("(Map (lam (fn_0 $0)) xs)", {"fn_0": 1}),
+    ("(Map fn_0 (Map (lam (fn_0 $0)) xs))", {"fn_0": 2}),
+    ("(Filter IsEven xs)", {}),
+])
+def test_count_learned_uses_counts_first_class_references(text, uses):
+    lib = with_learned(FULL, "fn_0", "(Int) -> Int", "(lam (Add $0 1))")
+    program = parse_term(text, set(lib.op_names()), {"xs"})
+    got = {}
+    _count_learned_uses(program, lib, got)
+    assert got == uses
 
 
 def test_eval_report_json_round_trip():

@@ -1225,3 +1225,46 @@ def test_search_trajectories_are_pinned():
                          r.candidates_evaluated, r.restarts, r.elapsed,
                          len(r.store))
         assert got == pinned, kw
+
+
+# ---------------------------------------------------------------------------
+# Learned operations first
+# ---------------------------------------------------------------------------
+
+MOTIF = "(lam (ZipWith (lam2 (Add $1 $0)) $0 (Reverse $0)))"
+# the same function with the arguments swapped: Add commutes
+SWAPPED_MOTIF = "(lam (ZipWith (lam2 (Add $0 $1)) (Reverse $0) $0))"
+# perfbench's micro search: unbounded, virtual clock, max_weight 5
+MICRO_CFG = dict(per_task_timeout=3.5, restart_interval=3.5, max_weight=5,
+                 virtual_clock=True, restarts_enabled=False)
+
+
+def _motif_task():
+    return {t.name: t for t in load_tasks(os.path.join(
+        os.path.dirname(pbesynth.__file__), "data",
+        "micro_tasks.txt"))}["motif_00"]
+
+
+@pytest.mark.parametrize("beam_size", [None, 10])
+def test_search_tries_a_learned_operation_before_the_base_ones(beam_size):
+    # in library order the unbounded search spends 2,150 candidates on the
+    # base operations and returns the inlined motif
+    lib = _with_learned(MICRO_LIB, ("fn_0", "(IntList) -> IntList", MOTIF))
+    r = search(_motif_task(), lib, UniformScorer(),
+               SearchConfig(beam_size=beam_size, **MICRO_CFG))
+    assert (r.solved, format_term(r.program), r.candidates_evaluated) == \
+        (True, "(fn_0 xs)", 1)
+
+
+@pytest.mark.parametrize("beam_size", [None, 10])
+@pytest.mark.parametrize("first,second", [("fn_0", "fn_1"),
+                                          ("fn_1", "fn_0")])
+def test_learned_operations_keep_library_order_among_themselves(
+        beam_size, first, second):
+    lib = _with_learned(MICRO_LIB,
+                        (first, "(IntList) -> IntList", MOTIF),
+                        (second, "(IntList) -> IntList", SWAPPED_MOTIF))
+    r = search(_motif_task(), lib, UniformScorer(),
+               SearchConfig(beam_size=beam_size, **MICRO_CFG))
+    assert (format_term(r.program), r.candidates_evaluated) == \
+        (f"({first} xs)", 1)
