@@ -194,7 +194,8 @@ def cmd_sleep(args, cfg: RunConfig):
     scorer = _load_scorer(args)
     corpus = load_solutions(args.solutions, lib, by_name)
     rep = run_sleep(corpus, lib, scorer, by_name, cfg.mining, cfg.tracegen,
-                    cfg.random_seed, cfg.train_steps)
+                    cfg.random_seed, cfg.train_steps,
+                    virtual_clock=cfg.search.virtual_clock)
     save_library(rep.library, _out_path(cfg, "library.txt"))
     save_scorer(rep.scorer, _out_path(cfg, "scorer.txt"))
     save_traces(rep.traces, _out_path(cfg, "traces.txt"))
@@ -215,7 +216,7 @@ def cmd_loop(args, cfg: RunConfig):
 
 def cmd_trace_gen(args, cfg: RunConfig):
     lib = _load_library(args)
-    data = generate_traces(lib, cfg.tracegen)
+    data = generate_traces(lib, cfg.tracegen, cfg.search.virtual_clock)
     save_traces(data, _out_path(cfg, "traces.txt"))
     print(f"{len(data.episodes)} episodes, {len(data.steps)} steps -> "
           f"{_out_path(cfg, 'traces.txt')}")

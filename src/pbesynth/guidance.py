@@ -63,7 +63,7 @@ def extract_features(op_name, prefix, candidate, ctx: ScoreContext):
         1.0 if candidate.ty == INT else 0.0,
         1.0 if candidate.ty == BOOL else 0.0,
         1.0 if candidate.ty == INT_LIST else 0.0,
-        1.0 if candidate.is_lambda else 0.0,
+        1.0 if candidate.free_vars else 0.0,
         eq * inv,
         contained * inv,
         samelen * inv,
@@ -170,9 +170,11 @@ class TraceGenConfig:
             if math.isnan(getattr(self, name)):
                 # an episode's timeout would be NaN, and never reached
                 raise ValueError(f"{name} must be a number, not NaN")
-        for name, least in (("max_weight", 1), ("episodes", 0),
-                            ("targets_per_episode", 0), ("max_negatives", 0),
-                            ("examples_per_episode", 1)):
+        # a budget below 0 would stop every episode at its first tuple
+        for name, least in (("episode_timeout", 0),
+                            ("per_abstraction_bonus", 0), ("max_weight", 1),
+                            ("episodes", 0), ("targets_per_episode", 0),
+                            ("max_negatives", 0), ("examples_per_episode", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
 
@@ -184,8 +186,7 @@ class TraceGenConfig:
 @dataclass(frozen=True)
 class TraceEpisode:
     index: int
-    task: Task  # inputs plus the replayed target's outputs
-    target_term: str
+    task: Task  # inputs, the target's outputs, and the target as solution
 
 
 @dataclass(frozen=True)
@@ -234,11 +235,12 @@ def _outputs(entry, store):
     return [runtime_value(o) for o in outs]
 
 
-def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
-    """Run seeded random episodes and replay reachable values as targets."""
+def generate_traces(lib: DSLibrary, cfg: TraceGenConfig,
+                    virtual_clock: bool = False) -> TraceDataset:
+    """Run seeded random episodes and replay reachable values as targets;
+    each episode's budget runs on a clock of the given mode."""
     data = TraceDataset(lib.version)
-    timeout = cfg.effective_timeout(lib)
-    per_episode = max(timeout / max(cfg.episodes, 1), 1e-9)
+    per_episode = cfg.effective_timeout(lib) / max(cfg.episodes, 1)
     for ep in range(cfg.episodes):
         rng = random.Random(cfg.random_seed * 1000003 + ep)
         decls = _TEMPLATES[ep % len(_TEMPLATES)]
@@ -249,7 +251,8 @@ def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
         store = exhaustive_search(probe, lib, cfg.max_weight,
                                   timeout=per_episode,
                                   limits=cfg.eval_limits,
-                                  stop_on_solve=False).store
+                                  stop_on_solve=False,
+                                  virtual_clock=virtual_clock).store
         built = [e for e in store.entries if e.provenance is not None
                  and _outputs(e, store) is not None]
         rng.shuffle(built)
@@ -260,8 +263,7 @@ def generate_traces(lib: DSLibrary, cfg: TraceGenConfig) -> TraceDataset:
                               in zip(examples, outs)),
                         solution=format_term(target.term))
             ep_idx = len(data.episodes)
-            data.episodes.append(
-                TraceEpisode(ep_idx, task, format_term(target.term)))
+            data.episodes.append(TraceEpisode(ep_idx, task))
             _emit_steps(data, ep_idx, target, store, lib, task, rng,
                         cfg.max_negatives)
         # one store at a time: the next episode's search builds its own
@@ -406,7 +408,7 @@ def save_traces(data: TraceDataset, path) -> None:
             ",".join(f"{n}={format_value(inp[n])}" for n, _ in t.input_types)
             + "->" + format_value(out)
             for inp, out in t.examples)
-        lines.append(f"episode {ep.index} | {decls} | {exs} | {ep.target_term}")
+        lines.append(f"episode {ep.index} | {decls} | {exs} | {t.solution}")
     for s in data.steps:
         negs = ";".join(_fmt_vec(n) for n in s.negatives)
         lines.append(f"step {s.episode} {s.op_name} {s.position} | "
@@ -438,7 +440,7 @@ def load_traces(path) -> TraceDataset:
             task = Task(f"trace-{idx}", parse_decls(decls),
                         tuple(parse_example(ex) for ex in exs.split(";")),
                         solution=term)
-            data.episodes.append(TraceEpisode(idx, task, term))
+            data.episodes.append(TraceEpisode(idx, task))
         elif ln.startswith("step "):
             head, pos_text, neg_text = [p.strip() for p in ln.split("|")]
             _, ep, op_name, position = head.split()

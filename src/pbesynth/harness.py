@@ -114,7 +114,7 @@ class SleepReport:
 def run_sleep(corpus, lib: DSLibrary, scorer, tasks_by_name,
               mine_cfg: MineConfig, trace_cfg: TraceGenConfig,
               train_seed: int = 0, train_steps: int = 10000,
-              iteration: int = 0) -> SleepReport:
+              iteration: int = 0, virtual_clock: bool = False) -> SleepReport:
     """Mining first, then warm-started retraining on fresh traces."""
     mined = mine(corpus, lib, tasks_by_name, mine_cfg, iteration)
     lib = mined.library
@@ -123,7 +123,7 @@ def run_sleep(corpus, lib: DSLibrary, scorer, tasks_by_name,
     for a in mined.abstractions:
         if a.arity > 0:
             scorer = warm_start_new_op(scorer, a.name, a.body)
-    traces = generate_traces(lib, trace_cfg)
+    traces = generate_traces(lib, trace_cfg, virtual_clock)
     scorer = train_scorer(traces, init=scorer, seed=train_seed,
                           max_steps=train_steps)
     return SleepReport(lib, scorer, traces, mined.abstractions,
@@ -220,7 +220,8 @@ def wake_sleep_loop(tasks, lib: DSLibrary, output_dir,
                 _count_learned_uses(r.program, lib, learned_uses)
         sleep = run_sleep(wake.corpus(), lib, scorer, tasks_by_name,
                           cfg.mining, cfg.tracegen, cfg.random_seed,
-                          cfg.train_steps, iteration=i)
+                          cfg.train_steps, iteration=i,
+                          virtual_clock=cfg.search.virtual_clock)
         lib, scorer = sleep.library, sleep.scorer
         save_library(lib, os.path.join(d, "library.txt"))
         save_scorer(scorer, os.path.join(d, "scorer.txt"))

@@ -201,7 +201,6 @@ class MineConfig:
     max_rounds: int = 3
     min_tasks: int = 2
     min_nonvariable: int = 2
-    prune: bool = True
     max_visited: int = 50000
 
     def __post_init__(self):
@@ -399,7 +398,7 @@ def mine_round(corpus, lib: DSLibrary, tasks, name: str,
     while queue and visited < cfg.max_visited:
         neg_ub, _, pattern, matches, open_holes, next_hole = \
             heapq.heappop(queue)
-        if cfg.prune and best is not None and -neg_ub <= best.utility.value:
+        if best is not None and -neg_ub <= best.utility.value:
             pruned += 1
             continue
         visited += 1

@@ -149,8 +149,8 @@ class ValueEntry:
     index: int = -1
     provenance: Optional[tuple] = None  # (op_name, (entry_idx, ...))
     # at least the steps `term` takes in any context whose evaluation does
-    # not run out of steps; None if unknown
-    steps: Optional[int] = None
+    # not run out of steps
+    steps: int = field(kw_only=True)
     # the outcomes (see eval_outcomes) as ids of the intern table of the
     # store the entry is built for (ValueStore.intern): the entry's value
     ids: tuple = field(kw_only=True)
@@ -165,10 +165,6 @@ class ValueEntry:
         ids = self.ids
         k = BATTERY_ROWS if self.free_vars else 1
         self.invariant = ids[:k] * (len(ids) // k) == ids
-
-    @property
-    def is_lambda(self) -> bool:
-        return bool(self.free_vars)
 
 
 class ValueStore:
@@ -290,10 +286,11 @@ class ValueStore:
                 out += [e for e in bodies[seen:]
                         if nameset.issuperset(e.free_vars)]
         else:
+            # an entry's placeholders fit an allowed set: a seed's by
+            # lib_placeholders, a built entry's by admissible
             same = self.by_ty.get(pty, ())
             state[1] = len(same)
-            out += [e for e in same[seen:] if not e.free_vars or any(
-                s.issuperset(e.free_vars) for s in self.allowed)]
+            out += same[seen:]
         return out
 
     def score_cache(self, scorer) -> Dict[tuple, float]:
@@ -659,8 +656,8 @@ def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
              prims, rows: bool, store: ValueStore):
     """(ids, steps) of applying the planned operation to the argument
     entries, from their ids, or None when the term must be evaluated in
-    full: when an argument's steps are unknown, or the arguments and the
-    application might run out of steps together.
+    full: when the arguments and the application might run out of steps
+    together.
 
     The contexts are the examples, or example x battery row when `rows`.
     Each context's argument vector is one key: an argument's id in that
@@ -714,8 +711,6 @@ def _applied(plan: _Plan, arg_entries, task: Task, limits: EvalLimits,
             lam_ids.append((e.index, e.weight))
             bound += 1
             continue
-        if e.steps is None:
-            return None
         ids = e.ids
         if not e.invariant:
             invariant = False
@@ -805,6 +800,28 @@ def _partitions(total: int, parts: int):
             yield (first,) + rest
 
 
+class _Clock:
+    """A search's clock: wall time, or a virtual clock that advances 1 ms
+    per considered tuple and never reads the host's."""
+
+    QUANTUM = 0.001
+
+    def __init__(self, virtual: bool):
+        self.virtual = virtual
+        self.ticks = 0
+        self.start = 0.0 if virtual else time.monotonic()
+
+    def tick(self) -> float:
+        """Count one considered tuple; returns now()."""
+        self.ticks += 1
+        return self.now()
+
+    def now(self) -> float:
+        if self.virtual:
+            return self.ticks * self.QUANTUM
+        return time.monotonic() - self.start
+
+
 @dataclass
 class ExhaustiveResult:
     store: ValueStore
@@ -814,11 +831,13 @@ class ExhaustiveResult:
 
 
 def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
-                      timeout: Optional[float] = None,
+                      timeout: float = math.inf,
                       limits: EvalLimits = EvalLimits(),
-                      stop_on_solve: bool = True) -> ExhaustiveResult:
+                      stop_on_solve: bool = True,
+                      virtual_clock: bool = False) -> ExhaustiveResult:
     """Enumerate all semantically distinct values of weight <= max_weight,
-    nondecreasing in weight, deduplicating by value (ValueStore)."""
+    nondecreasing in weight, deduplicating by value (ValueStore), until a
+    _Clock of the given mode, ticked per considered tuple, passes `timeout`."""
     prims = lib.prims()
     store = init_store(task, lib, limits)
     solution = store.by_ids.get(store.goal)  # a seed
@@ -830,7 +849,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
 
     if solution is not None and stop_on_solve:
         return result()
-    start = time.monotonic()
+    clock = _Clock(virtual_clock)
     for w in range(1, max_weight + 1):
         # (entry, type) pairs per parameter type and entry weight.  A
         # candidate of this level weighs w, and add lowers an entry's weight
@@ -848,8 +867,7 @@ def exhaustive_search(task: Task, lib: DSLibrary, max_weight: int,
                 lists = [buckets[pty].get(pw, ())
                          for pty, pw in zip(params, split)]
                 for tup in product(*lists):
-                    if timeout is not None and \
-                            time.monotonic() - start > timeout:
+                    if clock.tick() > timeout:
                         return result(timed_out=True)
                     if not admissible(tup, store.allowed):
                         continue
@@ -906,28 +924,6 @@ class SolveResult:
     candidates_evaluated: int
     restarts: int
     store: Optional[ValueStore] = None
-
-
-class _Clock:
-    """Wall clock, or a deterministic clock advancing 1 ms per considered
-    candidate."""
-
-    QUANTUM = 0.001
-
-    def __init__(self, virtual: bool):
-        self.virtual = virtual
-        self.ticks = 0
-        self.start = time.monotonic()
-
-    def tick(self) -> float:
-        """Count one candidate; returns now()."""
-        self.ticks += 1
-        return self.now()
-
-    def now(self) -> float:
-        if self.virtual:
-            return self.ticks * self.QUANTUM
-        return time.monotonic() - self.start
 
 
 def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult:

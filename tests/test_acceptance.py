@@ -22,6 +22,7 @@ from importlib.resources import files
 import pytest
 from scipy import stats as sstats
 
+import pbesynth.synthesis
 from pbesynth.dsl import DSLibrary, Operation, default_list_dsl, load_library
 from pbesynth.guidance import TraceGenConfig
 from pbesynth.harness import (
@@ -369,13 +370,9 @@ def test_miner_matches_brute_force_on_random_corpora():
     for seed in range(100):
         corpus, tasks = _random_corpus(seed)
         oracle = _brute_force_best(corpus, BRUTE_LIB, tasks, cfg)
-        on = mine_round(corpus, BRUTE_LIB, tasks, "fx", cfg)
-        off = mine_round(corpus, BRUTE_LIB, tasks, "fx",
-                         MineConfig(prune=False))
-        got_on = on.abstraction.utility.value if on.abstraction else 0
-        got_off = off.abstraction.utility.value if off.abstraction else 0
-        assert got_on == oracle, f"seed {seed}: miner {got_on} oracle {oracle}"
-        assert got_off == oracle, f"seed {seed}: unpruned {got_off}"
+        got = mine_round(corpus, BRUTE_LIB, tasks, "fx", cfg).abstraction
+        got = got.utility.value if got else 0
+        assert got == oracle, f"seed {seed}: miner {got} oracle {oracle}"
         if oracle > 0:
             nonzero += 1
     assert nonzero >= 20  # the comparison exercises real abstractions
@@ -526,8 +523,9 @@ def test_wake_sleep_improves_on_motif_domain(rigged_loop):
 
 
 # The same comparison on the virtual clock, so that the work, and with it
-# the result, does not depend on the host.  An episode budget this large
-# never runs out, so trace generation does not read the host's clock either.
+# the result, does not depend on the host.  Trace generation then counts
+# ticks too, and an 8 s budget over 4 episodes (2,000 ticks each) would cut
+# episodes that build 3,383-4,309 candidates, so the budget never runs out.
 VIRTUAL_RIGGED_CFG = replace(
     RIGGED_CFG,
     search=replace(RIGGED_CFG.search, virtual_clock=True),
@@ -644,3 +642,31 @@ def test_same_seed_loop_runs_are_byte_identical(tmp_path):
         assert da == db, rel
     with open(os.path.join(out_a, "best.json")) as fh:
         assert json.load(fh)["solve_counts"]  # reports are non-trivial
+
+
+class _JumpingTime:
+    """A stand-in for the time module whose clock jumps 100 s per read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return 100.0 * self.reads
+
+
+def test_virtual_loop_does_not_depend_on_the_host_clock(tmp_path,
+                                                        monkeypatch):
+    # on the virtual clock neither the search nor trace generation reads
+    # the host's clock, so a host clock that races changes no file
+    cfg = replace(DET_CFG, iterations=1)
+    tasks = DET_TASKS[:3]
+    wake_sleep_loop(tasks, MICRO_LIB, str(tmp_path / "a"), cfg)
+    racing = _JumpingTime()
+    monkeypatch.setattr(pbesynth.synthesis, "time", racing)
+    wake_sleep_loop(tasks, MICRO_LIB, str(tmp_path / "b"), cfg)
+    for name in ("traces.txt", "scorer.txt", "report.json"):
+        rel = os.path.join("iter_000", name)
+        assert (tmp_path / "a" / rel).read_bytes() == \
+            (tmp_path / "b" / rel).read_bytes(), rel
+    assert racing.reads == 0

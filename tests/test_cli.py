@@ -108,14 +108,13 @@ def test_config_keys_are_the_config_fields():
         "per_abstraction_bonus": float, "tracegen_max_weight": int,
         "episodes": int, "targets_per_episode": int, "max_negatives": int,
         "examples_per_episode": int, "max_arity": int, "max_rounds": int,
-        "min_tasks": int, "min_nonvariable": int, "prune": _parse_bool,
-        "max_visited": int,
+        "min_tasks": int, "min_nonvariable": int, "max_visited": int,
     }
 
 
 @pytest.mark.parametrize("form", ["flag", "file"])
 @pytest.mark.parametrize("key", ["stop_on_solve", "virtual_clock",
-                                 "restarts_enabled", "prune"])
+                                 "restarts_enabled"])
 def test_bad_boolean_exits_2(tmp_path, tasks_file, key, form, capsys):
     if form == "flag":
         # it used to end in a ConfigError traceback with exit 1
@@ -432,6 +431,9 @@ def test_beam_size_none_is_unbounded_search(tmp_path, tasks_file,
     ("--targets-per-episode", "-1", "targets_per_episode", 0),
     ("--tracegen-max-weight", "0", "max_weight", 1),
     ("--train-steps", "-5", "train_steps", 0),
+    # every trace-generation episode used to stop at its first tuple
+    ("--episode-timeout", "-1", "episode_timeout", 0),
+    ("--per-abstraction-bonus", "-1", "per_abstraction_bonus", 0),
     # mining used to run on these: nothing mined, exit 0
     ("--max-arity", "-1", "max_arity", 0),
     ("--max-rounds", "-2", "max_rounds", 0),

@@ -142,7 +142,8 @@ def test_trace_gen_config_rejects_nan_budgets(field):
 
 @pytest.mark.parametrize("field,value,least", [
     ("max_weight", 0, 1), ("episodes", -2, 0), ("targets_per_episode", -1, 0),
-    ("max_negatives", -1, 0), ("examples_per_episode", 0, 1)])
+    ("max_negatives", -1, 0), ("examples_per_episode", 0, 1),
+    ("episode_timeout", -1.0, 0), ("per_abstraction_bonus", -0.5, 0)])
 def test_trace_gen_config_rejects_counts_below_their_least(field, value,
                                                             least):
     # each used to end in a sampling or task error, or in no traces
@@ -159,7 +160,7 @@ def test_generate_traces_produces_episodes_and_steps():
     assert len(data.steps) > 0
     for ep in data.episodes:
         # replayed target really produces the recorded outputs
-        term = parse_term(ep.target_term, set(lib.op_names()))
+        term = parse_term(ep.task.solution, set(lib.op_names()))
         from pbesynth.lang import evaluate
         for inputs, out in ep.task.examples:
             assert evaluate(term, dict(inputs), LIMITS, lib.prims()) == out
@@ -169,8 +170,8 @@ def test_generate_traces_is_deterministic():
     lib = sub_dsl("Add", "Subtract", "Head", "Reverse")
     d1 = generate_traces(lib, SMALL_TRACE_CFG)
     d2 = generate_traces(lib, SMALL_TRACE_CFG)
-    assert [e.target_term for e in d1.episodes] == \
-        [e.target_term for e in d2.episodes]
+    assert [e.task.solution for e in d1.episodes] == \
+        [e.task.solution for e in d2.episodes]
     assert d1.steps == d2.steps
 
 
@@ -331,8 +332,8 @@ def test_traces_save_load_round_trip(tmp_path):
     back = load_traces(path)
     assert back.library_version == data.library_version
     assert len(back.episodes) == len(data.episodes)
-    assert [e.target_term for e in back.episodes] == \
-        [e.target_term for e in data.episodes]
+    assert [e.task.solution for e in back.episodes] == \
+        [e.task.solution for e in data.episodes]
     assert [tuple(s.positive) for s in back.steps] == \
         [tuple(s.positive) for s in data.steps]
     assert [s.negatives for s in back.steps] == \

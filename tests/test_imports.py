@@ -1,4 +1,5 @@
-"""The runtime stays stdlib-only: the package imports nothing else."""
+"""The runtime stays stdlib-only: the package imports nothing else; and
+one clock reads the host's time."""
 
 import ast
 import sys
@@ -26,3 +27,27 @@ def test_package_imports_only_the_standard_library():
                for p in modules for line, name in _absolute_imports(p)
                if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _time_uses(node, cls=None):
+    """The enclosing class's name, or None, of each import of the time
+    module and each use of the name `time` under `node`."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    if isinstance(node, ast.Name) and node.id == "time" or \
+            isinstance(node, ast.Import) and \
+            any(a.name == "time" for a in node.names) or \
+            isinstance(node, ast.ImportFrom) and node.module == "time":
+        yield cls
+    for child in ast.iter_child_nodes(node):
+        yield from _time_uses(child, cls)
+
+
+def test_only_the_search_clock_reads_the_time():
+    # a virtual-clock run reads no host clock: every reading is in
+    # synthesis._Clock, and the one use outside it is the import
+    places = [(str(p.relative_to(SRC)), cls)
+              for p in sorted(SRC.rglob("*.py"))
+              for cls in _time_uses(ast.parse(p.read_text()))]
+    assert places.count(("synthesis.py", None)) == 1
+    assert set(places) == {("synthesis.py", None), ("synthesis.py", "_Clock")}

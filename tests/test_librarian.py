@@ -11,7 +11,7 @@ from pbesynth.lang import (
 )
 from pbesynth.librarian import (
     Abstraction, Hole, MineConfig, Rejection, annotate_corpus, canonicalize,
-    count_matches, deoverlap, finalize, format_pattern, mine, mine_round,
+    count_matches, deoverlap, finalize, format_pattern, mine,
     next_abstraction_name, non_hole_size, nonvariable_expressions,
     rewrite_program, utility, _expansions,
 )
@@ -407,23 +407,6 @@ def test_mine_keeps_a_constant_as_its_literal():
     assert res.corpus == {"a": [parse_term("(Take xs 4)", NAMES)],
                           "b": [parse_term("(Drop xs 4)", NAMES)]}
     assert res.library.constants == FULL.constants + ((ConstInt(4), INT),)
-
-
-def test_prune_on_off_agree():
-    corpus_texts = {
-        "a": "(Map (lam (Add $0 1)) (Sort xs))",
-        "b": "(Take (Map (lam (Add $0 1)) (Sort xs)) 2)",
-        "c": "(Map (lam (Add $0 1)) (Sort (Reverse xs)))",
-    }
-    corpus = {k: [parse_term(v, NAMES)] for k, v in corpus_texts.items()}
-    tasks = {k: list_task(k, [((2, 1), [2, 3])]) for k in corpus_texts}
-    on = mine_round(corpus, FULL, tasks, "fn_0", MineConfig(prune=True))
-    off = mine_round(corpus, FULL, tasks, "fn_0", MineConfig(prune=False))
-    assert on.abstraction is not None and off.abstraction is not None
-    assert on.abstraction.utility.value == off.abstraction.utility.value
-    assert format_pattern(on.abstraction.pattern) == \
-        format_pattern(off.abstraction.pattern)
-    assert on.pruned >= 0 and off.pruned == 0
 
 
 def test_rewrite_program_counts_and_saves():

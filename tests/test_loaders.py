@@ -108,7 +108,6 @@ virtual_clock = true
 max_eval_steps = 500
 episode_timeout = 2.5
 tracegen_max_weight = 3
-prune = no
 output_dir = runs/a
 """
 

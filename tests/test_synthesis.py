@@ -100,8 +100,8 @@ def test_store_solves_only_with_the_goal_value():
 
 
 def test_admissible_requires_one_allowed_set():
-    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, free_vars=(n,), ids=())
-            for n in ("%0i", "%1i"))
+    a, b = (ValueEntry(parse_term(n, NAMES), 0, INT, free_vars=(n,), steps=0,
+                       ids=()) for n in ("%0i", "%1i"))
     allowed = [frozenset({"%0i"}), frozenset({"%1i"})]
     assert admissible(((a, INT), (a, INT)), allowed)
     assert not admissible(((a, INT), (b, INT)), allowed)
@@ -116,8 +116,8 @@ def test_admissible_requires_one_allowed_set():
 
 def _entry(store, text, weight, ty):
     t = parse_term(text, NAMES)
-    return ValueEntry(t, weight, ty,
-                      ids=store.ids_of(eval_outcomes(t, TASK, LIMITS, PRIMS)))
+    outcomes, steps = _evaluated(t, TASK, LIMITS, PRIMS)
+    return ValueEntry(t, weight, ty, steps=steps, ids=store.ids_of(outcomes))
 
 
 def _stored(store, outcomes, free_vars=(), ty=None):
@@ -883,7 +883,8 @@ def _improve(store, data):
     e = heavy[data.draw(st.integers(0, len(heavy) - 1))]
     lighter = data.draw(st.integers(0, e.weight - 1))
     _canon, is_new, improved = store.add(
-        ValueEntry(e.term, lighter, e.ty, e.free_vars, ids=e.ids))
+        ValueEntry(e.term, lighter, e.ty, e.free_vars, steps=e.steps,
+                   ids=e.ids))
     assert improved and not is_new and e.weight == lighter
 
 
@@ -994,19 +995,15 @@ def reference_candidates_for(store, pty):
 def test_incremental_candidates_match_fresh_filter(data):
     params = sorted({pty for op in DIFF_LIB.operations
                      for pty in op.signature.params}, key=repr)
-    # one store per allowed set: the library's, and none
-    for allowed in (lib_placeholders(DIFF_LIB)[1], []):
-        store = init_store(TASK, DIFF_LIB, LIMITS)
-        store.allowed = allowed
-        for _round in range(data.draw(st.integers(1, 4))):
-            _grow(store, data, max_steps=10)
-            for _ in range(data.draw(st.integers(0, 2))):
-                _improve(store, data)
-            for pty in params:
-                got = store.candidates_for(pty)
-                assert got == reference_candidates_for(store, pty)
-                assert [e.index for e in got] == \
-                    sorted(e.index for e in got)
+    store = init_store(TASK, DIFF_LIB, LIMITS)
+    for _round in range(data.draw(st.integers(1, 4))):
+        _grow(store, data, max_steps=10)
+        for _ in range(data.draw(st.integers(0, 2))):
+            _improve(store, data)
+        for pty in params:
+            got = store.candidates_for(pty)
+            assert got == reference_candidates_for(store, pty)
+            assert [e.index for e in got] == sorted(e.index for e in got)
 
 
 def _plain_score(scorer, name, prefix, entry, position, store):
@@ -1225,6 +1222,38 @@ def test_search_trajectories_are_pinned():
                          r.candidates_evaluated, r.restarts, r.elapsed,
                          len(r.store))
         assert got == pinned, kw
+
+
+# ---------------------------------------------------------------------------
+# What every stored entry holds
+# ---------------------------------------------------------------------------
+
+# with an IntList placeholder, a body over both %0i and %0l fits no allowed
+# set
+LIST_ARROW_LIB = _with_learned(
+    MICRO_LIB, ("fn_0", "((IntList) -> Int, IntList) -> Int",
+                "(lam2 ($1 (Reverse $0)))"))
+
+
+@pytest.mark.parametrize("lib", [MICRO_LIB, LIST_ARROW_LIB],
+                         ids=["micro", "list-arrow"])
+def test_every_stored_entry_fits_an_allowed_set_and_knows_its_steps(lib):
+    # candidates_for takes every stored entry of a non-arrow type, and
+    # _applied reads every argument's steps
+    task = {t.name: t for t in load_tasks(os.path.join(
+        os.path.dirname(pbesynth.__file__), "data",
+        "micro_tasks.txt"))}["wrap_00_0"]
+    stores = [search(task, lib, UniformScorer(), SearchConfig(
+        per_task_timeout=1.0, restart_interval=1.0, beam_size=beam_size,
+        max_weight=5, virtual_clock=True, stop_on_solve=False)).store
+              for beam_size in (10, None)]
+    stores.append(exhaustive_search(task, lib, 4, stop_on_solve=False).store)
+    for store in stores:
+        assert any(e.free_vars for e in store.entries)
+        for e in store.entries:
+            assert type(e.steps) is int
+            assert not e.free_vars or \
+                any(s.issuperset(e.free_vars) for s in store.allowed)
 
 
 # ---------------------------------------------------------------------------
