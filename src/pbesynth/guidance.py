@@ -23,19 +23,22 @@ from .lang import (
     runtime_value,
 )
 from .dsl import DSLibrary
-from .task import Task, format_value, parse_decls, parse_example
+from .task import (
+    Task, TaskFormatError, format_value, parse_decls, parse_example,
+)
 from .synthesis import ScoreContext, exhaustive_search, make_context
 
 FEATURE_DIM = 12
 
 
-def extract_features(op_name, prefix, candidate, ctx: ScoreContext):
+def extract_features(candidate, repeat, ctx: ScoreContext):
     """Feature vector for scoring `candidate` at one argument position.
 
-    `prefix` holds the entries already chosen for earlier positions.
-    Features 0-9 depend only on the candidate entry (its outcomes, which
-    `ctx.values` decodes, type, free placeholders and weight) and the
-    task's outputs; 10 and 11 are the choice features (_choice_features).
+    `repeat` tells whether the candidate is the entry chosen at the
+    previous position.  Features 0-9 depend only on the candidate entry
+    (its outcomes, which `ctx.values` decodes, type, free placeholders and
+    weight) and the task's outputs; 10 and 11 are the choice features
+    (_choice_features).
     A lambda body's outcome features are 0."""
     n = 0
     eq = contained = samelen = errs = 0
@@ -68,17 +71,16 @@ def extract_features(op_name, prefix, candidate, ctx: ScoreContext):
         contained * inv,
         samelen * inv,
         errs * inv,
-    ] + _choice_features(prefix, candidate, ctx)
+    ] + _choice_features(repeat, ctx)
 
 
 ENTRY_FEATURES = 10  # features 0-9: of the entry and the task alone
 
 
-def _choice_features(prefix, candidate, ctx: ScoreContext):
-    """Features 10 and 11: is `prefix[-1]` the candidate, and the
-    position."""
-    return [1.0 if prefix and prefix[-1].index == candidate.index else 0.0,
-            min(ctx.position, 4) / 4.0]
+def _choice_features(repeat, ctx: ScoreContext):
+    """Features 10 and 11: is the candidate a repeat of the previous
+    position's choice, and the position."""
+    return [1.0 if repeat else 0.0, min(ctx.position, 4) / 4.0]
 
 
 def _zeros():
@@ -92,10 +94,10 @@ class LinearScorer:
     scorer, so an untrained model degrades gracefully.
 
     Scorer contract (see synthesis.UniformScorer): a score is a pure
-    function of the operation, `ctx.position`, the candidate entry and the
-    task; the prefix enters only as feature 10, "is `prefix[-1]` this
-    candidate?".  Argument selection caches scores on that basis, so the
-    parameters must not change while a search uses the scorer.
+    function of the operation, `ctx.position`, the candidate entry, the
+    task and `repeat`, which enters as feature 10.  Argument selection
+    caches scores on that basis, so the parameters must not change while
+    a search uses the scorer.
 
     Features 0-9 do not depend on the operation or the position, so a
     store keeps them once per entry: when `ctx.features` is a store's
@@ -109,20 +111,20 @@ class LinearScorer:
         self.per_op_parameters = dict(per_op_parameters or {})
         self.training_report = dict(training_report or {})
 
-    def score(self, op_name, prefix, candidate, ctx) -> float:
+    def score(self, op_name, candidate, repeat, ctx) -> float:
         w = self.per_op_parameters.get(op_name)
         if w is None:
             return 0.0
         memo = ctx.features
         if memo is None:
-            phi = extract_features(op_name, prefix, candidate, ctx)
+            phi = extract_features(candidate, repeat, ctx)
         else:
             key = (candidate.index, candidate.weight)
             phi = memo.get(key)
             if phi is None:
                 phi = memo[key] = extract_features(
-                    op_name, (), candidate, ctx)[:ENTRY_FEATURES]
-            phi = phi + _choice_features(prefix, candidate, ctx)
+                    candidate, False, ctx)[:ENTRY_FEATURES]
+            phi = phi + _choice_features(repeat, ctx)
         return sum(map(mul, w, phi))
 
     def copy(self) -> "LinearScorer":
@@ -279,13 +281,13 @@ def _emit_steps(data, ep_idx, entry, store, lib, task, rng, max_negatives):
         # the store's table, but not its feature memo: `task` is not the
         # store's task
         ctx = make_context(task, pos, store.values)
-        prefix = tuple(chosen[:pos])
-        positive = tuple(extract_features(op_name, prefix, pick, ctx))
+        last = chosen[pos - 1] if pos > 0 else None
+        positive = tuple(extract_features(pick, last is pick, ctx))
         pool = [e for e in store.candidates_for(pty)
                 if e.index != pick.index]
         if len(pool) > max_negatives:
             pool = rng.sample(pool, max_negatives)
-        negatives = tuple(tuple(extract_features(op_name, prefix, e, ctx))
+        negatives = tuple(tuple(extract_features(e, last is e, ctx))
                           for e in pool)
         data.steps.append(TraceStep(ep_idx, op_name, pos, positive, negatives))
     for child in chosen:
@@ -437,9 +439,13 @@ def load_traces(path) -> TraceDataset:
             if len(head.split()) != 2:
                 raise ValueError(f"malformed trace line: {ln!r}")
             idx = int(head.split()[1])
-            task = Task(f"trace-{idx}", parse_decls(decls),
-                        tuple(parse_example(ex) for ex in exs.split(";")),
-                        solution=term)
+            try:
+                task = Task(f"trace-{idx}", parse_decls(decls),
+                            tuple(parse_example(ex) for ex in exs.split(";")),
+                            solution=term)
+            except TaskFormatError as e:
+                # a trace file is not a tasks file: exit 2, not 3
+                raise ValueError(f"{path}: {e} in trace line {ln!r}") from None
             data.episodes.append(TraceEpisode(idx, task))
         elif ln.startswith("step "):
             head, pos_text, neg_text = [p.strip() for p in ln.split("|")]

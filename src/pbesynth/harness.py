@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from .lang import (
@@ -82,6 +81,8 @@ def run_wake(tasks, lib: DSLibrary, scorer, cfg: SearchConfig,
         return replace(r, store=None)
 
     if workers > 1:
+        # imported here: no other path needs the pool's import cost
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(solve_one, tasks))
     else:

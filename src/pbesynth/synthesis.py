@@ -200,10 +200,10 @@ class ValueStore:
         self.entries: List[ValueEntry] = []  # insertion order; index == position
         self.by_ty: Dict[Ty, List[ValueEntry]] = {}
         self.improved: List[int] = []  # indices add() improved, in order
-        # type -> [list, how much of its source list (candidates_for) seen]
+        # arrow type -> [list, how much of its source list (candidates_for)
+        # seen]
         self._cands: Dict[Ty, list] = {}
         self._scorer = None
-        self._scores: Dict[tuple, float] = {}
         self._rankings: Dict[tuple, _Ranking] = {}
         # a scorer's per-entry features, keyed by (entry index, entry
         # weight); any scorer may fill it (see ScoreContext.features)
@@ -268,65 +268,39 @@ class ValueStore:
     def candidates_for(self, pty: Ty):
         """Entries usable at a parameter of type `pty`, in insertion order.
 
-        Those are the entries of type `pty`, or for an arrow parameter the
-        bodies of its result type that it can lift (arg_term).  One list
-        per type is extended on each call from the entries its source list
-        in `by_ty` gained since the last one; the list is shared, so callers
-        must not mutate it."""
+        Those are the entries of type `pty`, whose list in `by_ty` is
+        returned itself, or for an arrow parameter the bodies of its result
+        type that it can lift (arg_term), whose one list per type is
+        extended on each call from the entries `by_ty` gained since the
+        last one.  The lists are shared, so callers must not mutate them."""
+        if not isinstance(pty, Arrow):
+            # an entry's placeholders fit an allowed set: a seed's by
+            # lib_placeholders, a built entry's by admissible
+            return self.by_ty.setdefault(pty, [])
         state = self._cands.get(pty)
         if state is None:
             state = self._cands[pty] = [[], 0]
         out, seen = state
-        if isinstance(pty, Arrow):
-            names = arrow_placeholder_names(pty)
-            if names is not None:
-                nameset = frozenset(names)
-                bodies = self.by_ty.get(pty.ret, ())
-                state[1] = len(bodies)
-                out += [e for e in bodies[seen:]
-                        if nameset.issuperset(e.free_vars)]
-        else:
-            # an entry's placeholders fit an allowed set: a seed's by
-            # lib_placeholders, a built entry's by admissible
-            same = self.by_ty.get(pty, ())
-            state[1] = len(same)
-            out += same[seen:]
+        names = arrow_placeholder_names(pty)
+        if names is not None:
+            nameset = frozenset(names)
+            bodies = self.by_ty.get(pty.ret, ())
+            state[1] = len(bodies)
+            out += [e for e in bodies[seen:]
+                    if nameset.issuperset(e.free_vars)]
         return out
-
-    def score_cache(self, scorer) -> Dict[tuple, float]:
-        """The scores `scorer` gave this store's entries as the last choice
-        (last_choice_score), keyed by (op name, position, entry index, entry
-        weight); the rankings hold the other scores.  A different scorer
-        starts an empty cache, and empty rankings."""
-        if scorer is not self._scorer:
-            self._scorer = scorer
-            self._scores = {}
-            self._rankings = {}
-        return self._scores
-
-    def last_choice_score(self, scorer, name: str, position: int, chosen,
-                          ctx: "ScoreContext") -> float:
-        """`scorer`'s score at `position` of operation `name` for the entry
-        chosen last, `chosen` being the (entry, type) pairs chosen so far,
-        through the score cache: the prefix is built only on a miss."""
-        cache = self._scores if scorer is self._scorer \
-            else self.score_cache(scorer)
-        entry = chosen[-1][0]
-        k = (name, position, entry.index, entry.weight)
-        s = cache.get(k)
-        if s is None:
-            s = cache[k] = scorer.score(name, tuple(e for e, _ in chosen),
-                                        entry, ctx)
-        return s
 
     def ranking(self, scorer, name: str, position: int, cands,
                 ctx: "ScoreContext") -> "_Ranking":
         """`cands`, the candidates of operation `name` at `position`, as
         (-score, weight, index, entry) tuples in ascending order, each scored
-        once, as not the last choice (an empty prefix).  The ranking is kept
+        once, as not a repeat of the last choice.  The ranking is kept
         between calls: entries new to `cands` are inserted, and entries
-        `add` improved since are re-scored, since the weight is a feature."""
-        self.score_cache(scorer)
+        `add` improved since are re-scored, since the weight is a feature.
+        A different scorer starts empty rankings."""
+        if scorer is not self._scorer:
+            self._scorer = scorer
+            self._rankings = {}
         r = self._rankings.get((name, position))
         if r is None or r.cands is not cands:
             r = self._rankings[(name, position)] = _Ranking(cands)
@@ -335,7 +309,7 @@ class ValueStore:
         score = scorer.score
 
         def insert(e):
-            keys[e.index] = item = (-score(name, (), e, ctx), e.weight,
+            keys[e.index] = item = (-score(name, e, False, ctx), e.weight,
                                     e.index, e)
             insort(order, item)
 
@@ -356,7 +330,7 @@ class ValueStore:
 class _Ranking:
     """ValueStore.ranking's state for one (operation, position)."""
 
-    __slots__ = ("cands", "seen", "logged", "order", "keys")
+    __slots__ = ("cands", "seen", "logged", "order", "keys", "repeats")
 
     def __init__(self, cands):
         self.cands = cands  # the shared candidates_for list it follows
@@ -364,6 +338,9 @@ class _Ranking:
         self.logged = 0  # how much of ValueStore.improved is applied
         self.order: List[tuple] = []
         self.keys: Dict[int, tuple] = {}  # entry index -> its tuple in order
+        # (entry index, entry weight) -> the entry's score as a repeat of
+        # the last choice (see _beam)
+        self.repeats: Dict[tuple, float] = {}
 
 
 def arg_term(entry: ValueEntry, pty: Ty, store: ValueStore) -> Term:
@@ -441,13 +418,13 @@ def init_store(task: Task, lib: DSLibrary, limits: EvalLimits) -> ValueStore:
 
 @dataclass
 class ScoreContext:
-    """What a scorer sees of an argument position besides the operation
-    and the candidate: the position, the task's outputs, and the intern
-    table of the store the candidates come from (ValueStore.values), which
-    decodes their ids.  `features` is that store's feature memo
-    (ValueStore.features), where a scorer may keep what it computes from
-    an entry and the task alone under the entry's (index, weight); None
-    when the task is not the store's."""
+    """What a scorer sees of an argument position besides the operation,
+    the candidate and whether it repeats the last choice: the position,
+    the task's outputs, and the intern table of the store the candidates
+    come from (ValueStore.values), which decodes their ids.  `features`
+    is that store's feature memo (ValueStore.features), where a scorer may
+    keep what it computes from an entry and the task alone under the
+    entry's (index, weight); None when the task is not the store's."""
     position: int
     output_sig: tuple  # Task.output_sig
     values: list
@@ -462,17 +439,34 @@ def make_context(task: Task, position: int, values: list,
 class UniformScorer:
     """Scores every type-compatible candidate equally.
 
-    Scorer contract: `score(op_name, prefix, candidate, ctx)` is a pure
+    Scorer contract: `score(op_name, candidate, repeat, ctx)` is a pure
     function of the operation, `ctx.position`, the candidate entry (its
-    outcomes, type, free placeholders and weight) and the task, and it
-    sees the chosen `prefix` only as "is `prefix[-1]` this candidate?".
-    Argument selection relies on this to score each pair once per store
-    (ValueStore.ranking and last_choice_score).  A store serves one task,
-    so a scorer may keep what depends only on an entry and the task in the
-    store's feature memo (ScoreContext.features)."""
+    outcomes, type, free placeholders and weight), the task, and `repeat`:
+    whether the candidate is the entry chosen at the previous position.
+    Argument selection relies on this to score each pair at most twice
+    per store, once for each `repeat` (ValueStore.ranking and _beam).  A
+    store serves one task, so a scorer may keep what depends only on an
+    entry and the task in the store's feature memo (ScoreContext.features)."""
 
-    def score(self, op_name, prefix, candidate, ctx) -> float:
+    def score(self, op_name, candidate, repeat, ctx) -> float:
         return 0.0
+
+
+def _ranked_positions(op: Operation, store: ValueStore, scorer, task: Task):
+    """Per parameter of `op`, (type, context, ranking of its candidates)
+    (ValueStore.ranking), or None when a parameter has no candidate."""
+    params = op.signature.params
+    lists = []
+    for pty in params:
+        cands = store.candidates_for(pty)
+        if not cands:
+            return None
+        lists.append(cands)
+    out = []
+    for j, (pty, cands) in enumerate(zip(params, lists)):
+        ctx = make_context(task, j, store.values, store.features)
+        out.append((pty, ctx, store.ranking(scorer, op.name, j, cands, ctx)))
+    return out
 
 
 def beam_select_args(op: Operation, store: ValueStore, scorer,
@@ -480,44 +474,36 @@ def beam_select_args(op: Operation, store: ValueStore, scorer,
     """Up to `beam_size` type-compatible argument tuples, best cumulative
     score first.
 
-    Positions fill left to right, the scorer seeing the chosen prefix.
-    Ties break by (lower total weight, earlier insertion order).
+    Positions fill left to right, each candidate scored as a repeat of the
+    previous position's choice or not.  Ties break by (lower total weight,
+    earlier insertion order).
 
-    By the scorer contract (see UniformScorer) a score depends on the
-    prefix only through "is `prefix[-1]` this entry?", so the store keeps
-    each entry's score at a position twice at most: with an empty prefix
-    in the position's ranking, and as the last choice in its score cache
-    under (op name, position, entry index, entry weight).  The weight is
-    part of the key because ValueStore.add lowers it in place.  Each kept
-    value is the float the scorer returned, so the tuples are exactly
-    those of scoring every prefix."""
-    params = op.signature.params
-    per_position = []
-    for j, pty in enumerate(params):
-        cands = store.candidates_for(pty)
-        if not cands:
-            return []
-        per_position.append((pty, cands,
-                             make_context(task, j, store.values,
-                                          store.features)))
+    By the scorer contract (see UniformScorer) each position's ranking
+    keeps every score the selection needs: each candidate's as not a
+    repeat, and as a repeat under (entry index, entry weight), the weight
+    because ValueStore.add lowers it in place.  Each kept value is the
+    float the scorer returned, so the tuples are exactly those of scoring
+    every beam's extensions."""
+    positions = _ranked_positions(op, store, scorer, task)
+    if positions is None:
+        return []
     return [entries
-            for entries in _beam(op.name, per_position, store, scorer,
-                                 beam_size)
+            for entries in _beam(op.name, positions, scorer, beam_size)
             if admissible(entries, store.allowed)]
 
 
-def _beam(name, per_position, store, scorer, beam_size):
+def _beam(name, positions, scorer, beam_size):
     """The `beam_size` best entry tuples under the key (-score, total
-    weight, index-key), filling positions left to right.
+    weight, index-key), filling `positions` (_ranked_positions) left to
+    right.
 
     Each position's ranking orders its candidates by (-s, weight, index);
     a beam's extensions order by (-(beam score + s), weight, index).  Only
     the extensions that can be among a beam's best `beam_size` (see
-    _contenders), plus its own last choice scored as such, enter the heap,
-    so the survivors are the same as from scoring every extension."""
+    _contenders), plus its own last choice scored as a repeat, enter the
+    heap, so the survivors are the same as from scoring every extension."""
     beams = [((), 0.0, 0, ())]  # (entries, score, weight, index-key)
-    for j, (pty, cands, ctx) in enumerate(per_position):
-        ranking = store.ranking(scorer, name, j, cands, ctx)
+    for pty, ctx, ranking in positions:
         scored = []
         for b, (entries, score, wsum, key) in enumerate(beams):
             last = entries[-1][0] if entries else None
@@ -528,7 +514,10 @@ def _beam(name, per_position, store, scorer, beam_size):
                                                       score, beam_size):
                 scored.append((-total, wsum + w, key, i, b, e))
             if last is not None and last.index in ranking.keys:
-                s = store.last_choice_score(scorer, name, j, entries, ctx)
+                repeats, k = ranking.repeats, (last.index, last.weight)
+                s = repeats.get(k)
+                if s is None:
+                    s = repeats[k] = scorer.score(name, last, True, ctx)
                 scored.append((-(score + s), wsum + last.weight, key,
                                last.index, b, last))
         beams = [(beams[b][0] + ((e, pty),), -neg, w, key + (i,))
@@ -1101,14 +1090,13 @@ def _executed_key(tup) -> tuple:
 
 def _sampler_dists(op: Operation, store: ValueStore, scorer, task: Task):
     """Per position, a copy of its (growing) candidate list and their
-    softmax over the empty-prefix scores that ValueStore.ranking holds."""
+    softmax over the no-repeat scores that its ranking holds."""
+    positions = _ranked_positions(op, store, scorer, task)
+    if positions is None:
+        return None
     dists = []
-    for j, pty in enumerate(op.signature.params):
-        cands = store.candidates_for(pty)
-        if not cands:
-            return None
-        r = store.ranking(scorer, op.name, j, cands,
-                          make_context(task, j, store.values, store.features))
+    for _pty, _ctx, r in positions:
+        cands = r.cands
         scores = [-r.keys[e.index][0] for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]

@@ -365,15 +365,21 @@ def test_library_without_version_line_exits_2(tmp_path, tasks_file, capsys):
 
 
 def test_trace_episode_without_index_exits_2(tmp_path, capsys):
+    # also an episode whose type or example does not parse: a trace file
+    # is not a tasks file, so neither is a task format error (exit 3)
     path = tmp_path / "traces.txt"
-    path.write_text("format: pbesynth-traces 1\nlibrary-version: 0\n"
-                    "episodes: 1\nsteps: 0\n"
-                    "episode | xs:IntList | xs=[1]->1 | 1\n")
-    code = run_cli("train", "--traces", str(path),
-                   "--output-dir", str(tmp_path / "out"), *FAST_FLAGS)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for episode in ("episode | xs:IntList | xs=[1]->1 | 1",
+                    "episode 0 | xs:Foo | xs=[1]->1 | (Head xs)",
+                    "episode 0 | xs:IntList | xs=[1] | (Head xs)"):
+        path.write_text("format: pbesynth-traces 1\nlibrary-version: 0\n"
+                        f"episodes: 1\nsteps: 0\n{episode}\n")
+        code = run_cli("train", "--traces", str(path),
+                       "--output-dir", str(tmp_path / "out"), *FAST_FLAGS)
+        assert code == 2, episode
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if episode.startswith("episode 0"):
+            assert str(path) in err and episode in err, err
 
 
 def test_restart_interval_of_zero_exits_2(tasks_file, small_library,

@@ -69,7 +69,7 @@ def _ctx_and_entries():
 def test_feature_vector_shape_and_bias():
     ctx, entries = _ctx_and_entries()
     for e in entries:
-        phi = extract_features("Add", (), e, ctx)
+        phi = extract_features(e, False, ctx)
         assert len(phi) == FEATURE_DIM
         assert phi[0] == 1.0
         assert all(isinstance(x, float) for x in phi)
@@ -78,7 +78,7 @@ def test_feature_vector_shape_and_bias():
 def test_feature_type_onehot_and_weight():
     ctx, entries = _ctx_and_entries()
     one = next(e for e in entries if e.ty == INT and not e.free_vars)
-    phi = extract_features("Add", (), one, ctx)
+    phi = extract_features(one, False, ctx)
     assert phi[2] == 1.0 and phi[3] == 0.0 and phi[4] == 0.0
     assert phi[1] == min(one.weight, 10) / 10.0
 
@@ -86,7 +86,7 @@ def test_feature_type_onehot_and_weight():
 def test_unknown_op_scores_zero():
     ctx, entries = _ctx_and_entries()
     s = LinearScorer({})
-    assert s.score("Add", (), entries[0], ctx) == 0.0
+    assert s.score("Add", entries[0], False, ctx) == 0.0
 
 
 def test_known_op_scores_dot_product():
@@ -94,8 +94,8 @@ def test_known_op_scores_dot_product():
     w = [0.5] * FEATURE_DIM
     s = LinearScorer({"Add": w})
     e = entries[0]
-    phi = extract_features("Add", (), e, ctx)
-    assert s.score("Add", (), e, ctx) == pytest.approx(
+    phi = extract_features(e, False, ctx)
+    assert s.score("Add", e, False, ctx) == pytest.approx(
         sum(a * b for a, b in zip(w, phi)))
 
 

@@ -1,7 +1,10 @@
-"""The runtime stays stdlib-only: the package imports nothing else; and
-one clock reads the host's time."""
+"""The runtime stays stdlib-only: the package imports nothing else; one
+clock reads the host's time; and the thread pool is imported only where
+it is made."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,14 @@ def test_only_the_search_clock_reads_the_time():
               for cls in _time_uses(ast.parse(p.read_text()))]
     assert places.count(("synthesis.py", None)) == 1
     assert set(places) == {("synthesis.py", None), ("synthesis.py", "_Clock")}
+
+
+def test_importing_the_harness_does_not_import_the_thread_pool():
+    # run_wake imports concurrent.futures only for workers > 1, so a run
+    # that never asks for the pool does not pay for its import
+    probe = ("import sys, pbesynth.harness; "
+             "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout == "False\n"

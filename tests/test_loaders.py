@@ -209,6 +209,6 @@ def test_command_reports_a_rejected_file_in_one_line(kind, tmp_path,
         "--output-dir", str(tmp_path / "out"), "--virtual-clock", "true",
         "--per-task-timeout", "0.05", "--restart-interval", "0.05"])
     err = capsys.readouterr().err
-    assert code in (2, 3), err
+    assert code == (3 if kind == "tasks" else 2), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err

@@ -807,8 +807,8 @@ def test_finished_search_leaves_no_cyclic_garbage(case, cyclic_garbage):
 # ---------------------------------------------------------------------------
 
 def reference_beam_select_args(op, store, scorer, beam_size, task):
-    """beam_select_args without the score cache: every beam prefix re-scores
-    every candidate, then a full sort and truncate."""
+    """beam_select_args without the rankings: every beam re-scores every
+    candidate, then a full sort and truncate."""
     per_position = []
     for j, pty in enumerate(op.signature.params):
         cands = store.candidates_for(pty)
@@ -820,9 +820,9 @@ def reference_beam_select_args(op, store, scorer, beam_size, task):
     for pty, cands, ctx in per_position:
         nxt = []
         for entries, score, wsum, key in beams:
-            prefix = tuple(e for e, _ in entries)
+            last = entries[-1][0] if entries else None
             for e in cands:
-                s = scorer.score(op.name, prefix, e, ctx)
+                s = scorer.score(op.name, e, e is last, ctx)
                 nxt.append((entries + ((e, pty),), score + s,
                             wsum + e.weight, key + (e.index,)))
         nxt.sort(key=lambda b: (-b[1], b[2], b[3]))
@@ -845,7 +845,7 @@ def reference_sampler_dists(op, store, scorer, task):
         if not cands:
             return None
         ctx = make_context(task, j, store.values)
-        scores = [scorer.score(op.name, (), e, ctx) for e in cands]
+        scores = [scorer.score(op.name, e, False, ctx) for e in cands]
         m = max(scores)
         weights = [math.exp(s - m) for s in scores]
         total = sum(weights)
@@ -1006,18 +1006,18 @@ def test_incremental_candidates_match_fresh_filter(data):
             assert [e.index for e in got] == sorted(e.index for e in got)
 
 
-def _plain_score(scorer, name, prefix, entry, position, store):
+def _plain_score(scorer, name, entry, repeat, position, store):
     """LinearScorer.score without a feature memo, as a dot product."""
     w = scorer.per_op_parameters[name]
-    phi = extract_features(name, prefix, entry,
+    phi = extract_features(entry, repeat,
                            make_context(TASK, position, store.values))
     return sum(a * b for a, b in zip(w, phi))
 
 
 def _kept_scores(store, scorer):
-    """(op name, position, entry, is-last-choice, score) for every score
-    `store` keeps for `scorer` under an entry's current weight: those of
-    the rankings and those of the last-choice cache."""
+    """(op name, position, entry, repeat, score) for every score `store`
+    keeps for `scorer` under an entry's current weight: each ranking's
+    scores as not a repeat and as a repeat."""
     out = []
     for op in DIFF_LIB.operations:
         for j, pty in enumerate(op.signature.params):
@@ -1027,9 +1027,9 @@ def _kept_scores(store, scorer):
                                            store.features))
             out += [(op.name, j, e, False, -neg)
                     for neg, _, _, e in r.order]
-    for (name, j, i, w), s in store.score_cache(scorer).items():
-        if store.entries[i].weight == w:
-            out.append((name, j, store.entries[i], True, s))
+            out += [(op.name, j, store.entries[i], True, s)
+                    for (i, w), s in r.repeats.items()
+                    if store.entries[i].weight == w]
     return out
 
 
@@ -1056,14 +1056,13 @@ def test_memoized_scores_equal_plain_feature_products(data):
                 if name not in scorer.per_op_parameters:
                     assert got == 0.0
                     continue
-                want = _plain_score(scorer, name, (e,) if last else (), e, j,
-                                    store)
+                want = _plain_score(scorer, name, e, last, j, store)
                 assert got.hex() == want.hex(), (name, j, e.index, last)
             for (i, w), phi in store.features.items():
                 e = store.entries[i]
                 if e.weight == w:
                     assert phi == extract_features(
-                        "Add", (), e, make_context(TASK, 0, store.values))[:10]
+                        e, False, make_context(TASK, 0, store.values))[:10]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1100,9 +1099,9 @@ def test_guided_search_extracts_features_once_per_scored_entry(monkeypatch):
         FULL, TraceGenConfig(max_weight=2, episodes=2)))
     extracted = []
 
-    def counting(op_name, prefix, candidate, ctx):
+    def counting(candidate, repeat, ctx):
         extracted.append((candidate.index, candidate.weight))
-        return extract_features(op_name, prefix, candidate, ctx)
+        return extract_features(candidate, repeat, ctx)
 
     monkeypatch.setattr(pbesynth.guidance, "extract_features", counting)
     task = next(t for t in load_tasks(os.path.join(
@@ -1115,12 +1114,18 @@ def test_guided_search_extracts_features_once_per_scored_entry(monkeypatch):
     assert len(extracted) == len(set(extracted)) == 159
 
 
-def test_score_cache_belongs_to_one_scorer():
+def test_rankings_belong_to_one_scorer():
     store = init_store(TASK, DIFF_LIB, LIMITS)
     a, b = LinearScorer({}), LinearScorer({})
-    store.score_cache(a)[("Add", 0, 0, 1)] = 1.0
-    assert store.score_cache(a) == {("Add", 0, 0, 1): 1.0}
-    assert store.score_cache(b) == {}
+    cands = store.candidates_for(INT)
+    ctx = make_context(TASK, 0, store.values, store.features)
+    r = store.ranking(a, "Add", 0, cands, ctx)
+    r.repeats[(0, 1)] = 1.0
+    assert store.ranking(a, "Add", 0, cands, ctx) is r
+    assert r.repeats == {(0, 1): 1.0}
+    fresh = store.ranking(b, "Add", 0, cands, ctx)
+    assert fresh is not r and fresh.repeats == {}
+    assert [item[2] for item in fresh.order] == [item[2] for item in r.order]
 
 
 # ---------------------------------------------------------------------------
