@@ -421,45 +421,50 @@ def save_traces(data: TraceDataset, path) -> None:
 
 def load_traces(path) -> TraceDataset:
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != f"format: {_TRACE_FORMAT}":
-        raise ValueError(f"not a trace file: {path}")
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1)
+                 if ln.strip()]
+    if not lines or lines[0][1] != f"format: {_TRACE_FORMAT}":
+        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: "
+                         "not a trace file")
     if len(lines) < 4:
-        raise ValueError(f"truncated trace file: {path}")
+        raise ValueError(f"{path}:{lines[-1][0] + 1}: truncated trace file")
     header = {}
-    for key, ln in zip(("library-version", "episodes", "steps"), lines[1:]):
-        name, _, value = ln.partition(":")
-        if name != key:
-            raise ValueError(f"expected a {key!r} line, got {ln!r}")
-        header[key] = int(value)
-    data = TraceDataset(header["library-version"])
-    for ln in lines[4:]:
-        if ln.startswith("episode "):
-            head, decls, exs, term = [p.strip() for p in ln.split("|")]
-            if len(head.split()) != 2:
-                raise ValueError(f"malformed trace line: {ln!r}")
-            idx = int(head.split()[1])
-            try:
-                task = Task(f"trace-{idx}", parse_decls(decls),
-                            tuple(parse_example(ex) for ex in exs.split(";")),
-                            solution=term)
-            except TaskFormatError as e:
-                # a trace file is not a tasks file: exit 2, not 3
-                raise ValueError(f"{path}: {e} in trace line {ln!r}") from None
-            data.episodes.append(TraceEpisode(idx, task))
-        elif ln.startswith("step "):
-            head, pos_text, neg_text = [p.strip() for p in ln.split("|")]
-            _, ep, op_name, position = head.split()
-            negs = tuple(_parse_vec(t.split(","))
-                         for t in neg_text.split(";") if t)
-            data.steps.append(TraceStep(int(ep), op_name, int(position),
-                                        _parse_vec(pos_text.split(",")),
-                                        negs))
-        else:
-            raise ValueError(f"malformed trace line: {ln!r}")
+    try:
+        for key, (n, ln) in zip(("library-version", "episodes", "steps"),
+                                lines[1:]):
+            name, _, value = ln.partition(":")
+            if name != key:
+                raise ValueError(f"expected a {key!r} line")
+            header[key] = int(value)
+        data = TraceDataset(header["library-version"])
+        for n, ln in lines[4:]:
+            head, *fields = [p.strip() for p in ln.split("|")]
+            words = head.split()
+            if words[:1] == ["episode"] and len(words) == 2 and \
+                    len(fields) == 3:
+                decls, exs, term = fields
+                idx = int(words[1])
+                data.episodes.append(TraceEpisode(idx, Task(
+                    f"trace-{idx}", parse_decls(decls),
+                    tuple(parse_example(ex) for ex in exs.split(";")),
+                    solution=term)))
+            elif words[:1] == ["step"] and len(words) == 4 and \
+                    len(fields) == 2:
+                _, ep, op_name, position = words
+                pos_text, neg_text = fields
+                negs = tuple(_parse_vec(t.split(","))
+                             for t in neg_text.split(";") if t)
+                data.steps.append(TraceStep(int(ep), op_name, int(position),
+                                            _parse_vec(pos_text.split(",")),
+                                            negs))
+            else:
+                raise ValueError("malformed trace line")
+    except (ValueError, TaskFormatError) as e:
+        # a trace file is not a tasks file: exit 2, not 3
+        raise ValueError(f"{path}:{n}: {e}: {ln!r}") from None
     held = (len(data.episodes), len(data.steps))
     if held != (header["episodes"], header["steps"]):
-        raise ValueError(f"{path} declares {header['episodes']} episodes and "
-                         f"{header['steps']} steps, but holds {held[0]} and "
-                         f"{held[1]}")
+        raise ValueError(f"{path}:{lines[2][0]}: declares "
+                         f"{header['episodes']} episodes and {header['steps']} "
+                         f"steps, but holds {held[0]} and {held[1]}")
     return data

@@ -918,8 +918,8 @@ class SolveResult:
 def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult:
     """Round-robin over operations, learned ones first (each group in library
     order): beam-selected argument tuples first, a unique-sampling round
-    whenever the beam stalls, periodic restarts, and deduplication by value
-    (ValueStore) throughout.
+    whenever the beam stalls, periodic restarts of a beam search, and
+    deduplication by value (ValueStore) throughout.
 
     Both rounds are tuple sources that one executor, `run`, drains."""
     prims = lib.prims()
@@ -928,6 +928,9 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
     candidates = 0
     restarts = 0
     last_restart = 0.0
+    # nothing but the sampler is random: an unbounded restart would replay
+    restart_every = cfg.restart_interval \
+        if cfg.restarts_enabled and cfg.beam_size is not None else math.inf
     rng = random.Random(cfg.random_seed)
     store = init_store(task, lib, cfg.eval_limits)
     solution = store.by_ids.get(store.goal)  # a seed
@@ -943,8 +946,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             clock.now() >= cfg.per_task_timeout
 
     def restart_due():
-        return cfg.restarts_enabled and \
-            clock.now() - last_restart >= cfg.restart_interval
+        return clock.now() - last_restart >= restart_every
 
     def beam_round():
         for op in ops:
@@ -990,8 +992,7 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
         nonlocal candidates, solution
         progress = False
         # finished() and restart_due() on the tick's reading of the clock
-        interval = cfg.restart_interval \
-            if until_restart and cfg.restarts_enabled else math.inf
+        interval = restart_every if until_restart else math.inf
         for op, tup, key in tuples:
             now = clock.tick()
             done = executed[op.name]
@@ -1019,7 +1020,6 @@ def search(task: Task, lib: DSLibrary, scorer, cfg: SearchConfig) -> SolveResult
             store = init_store(task, lib, cfg.eval_limits)
             executed = {op.name: set() for op in ops}
             samplers.clear()
-            seen = dict.fromkeys(executed, (0, 0))
         if run(beam_round(), True) or restart_due() or finished():
             continue
         if cfg.beam_size is None:

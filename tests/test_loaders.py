@@ -212,3 +212,26 @@ def test_command_reports_a_rejected_file_in_one_line(kind, tmp_path,
     assert code == (3 if kind == "tasks" else 2), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
+
+
+VECTOR = ",".join(["0.5"] * FEATURE_DIM)
+
+
+@pytest.mark.parametrize("line", ["step 0 Add 0 | 1,1",
+                                  "episode 0 | xs:IntList | xs=[1]->1",
+                                  f"step x Add 0 | {VECTOR} | {VECTOR}"],
+                         ids=["short-step", "short-episode", "step-index"])
+def test_a_malformed_trace_line_is_reported_with_its_path_and_number(
+        line, tmp_path, capsys):
+    path = str(tmp_path / "traces.txt")
+    with open(path, "w") as fh:
+        # the blank line counts: the bad line is line 6
+        fh.write("format: pbesynth-traces 1\nlibrary-version: 0\n"
+                 f"episodes: 0\nsteps: 1\n\n{line}\n")
+    with pytest.raises(ValueError) as e:
+        load_traces(path)
+    assert str(e.value).startswith(f"{path}:6: ") and line in str(e.value)
+    capsys.readouterr()
+    code = main(["train", "--traces", path,
+                 "--output-dir", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, f"error: {e.value}\n")

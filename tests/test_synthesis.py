@@ -1167,7 +1167,8 @@ STEP_LIB = sub_dsl("Add", "Sum", "Range", "Map", "Filter", "IsEven")
 # (library, trained scorer?, SearchConfig keywords, {task: (solved, program,
 # candidates_evaluated, restarts, elapsed, store size)}); every search runs
 # on the virtual clock.  Recorded before the beam and the sampling round
-# shared one executor, and again when the store key took the entry's type.
+# shared one executor, and again when the store key took the entry's type;
+# the unbounded cases again when unbounded search stopped restarting.
 PINNED_SEARCHES = [
     # restarts, with sampling rounds whenever the beam stalls
     (FULL, False, dict(beam_size=4, restart_interval=0.15,
@@ -1194,14 +1195,15 @@ PINNED_SEARCHES = [
                           eval_limits=EvalLimits(max_steps=30)),
      {"running_sum": (False, None, 599, 3, 1.0, 62),
       "double_all": (False, None, 617, 3, 1.0, 61)}),
-    # unbounded search with restarts
+    # unbounded search, which never restarts: it runs to exhaustion or
+    # the timeout
     (SMALL_LIB, False, dict(beam_size=None, restart_interval=0.1,
                             per_task_timeout=1.0, max_weight=4,
                             stop_on_solve=False),
-     {"succ_all": (True, "(Map (lam (Add $0 1)) xs)", 1000, 9, 1.0, 51)}),
+     {"succ_all": (True, "(Map (lam (Add $0 1)) xs)", 234, 0, 0.234, 75)}),
     (MICRO_LIB, False, dict(beam_size=None, restart_interval=0.2,
                             per_task_timeout=0.6, max_weight=5),
-     {"motif_00": (False, None, 600, 2, 0.6, 114)}),
+     {"motif_00": (False, None, 600, 0, 0.6, 315)}),
     # the beam stalls and sampling spends its supports before the timeout
     (SMALL_LIB, False, dict(beam_size=4, restart_interval=5.0,
                             per_task_timeout=5.0, max_weight=3,
@@ -1227,6 +1229,28 @@ def test_search_trajectories_are_pinned():
                          r.candidates_evaluated, r.restarts, r.elapsed,
                          len(r.store))
         assert got == pinned, kw
+
+
+@pytest.mark.parametrize("lib,name", [(SMALL_LIB, "succ_all"),
+                                      (SMALL_LIB, "double_all"),
+                                      (MICRO_LIB, "motif_00")],
+                         ids=["succ_all", "double_all", "motif_00"])
+def test_unbounded_search_ignores_the_restart_interval(lib, name):
+    # nothing in an unbounded search is random, so a restart would only
+    # replay the interval before it: succ_all is solved at candidate 109,
+    # past a 100-tick interval
+    task = {t.name: t for f in ("tasks.txt", "micro_tasks.txt")
+            for t in load_tasks(os.path.join(os.path.dirname(
+                pbesynth.__file__), "data", f))}[name]
+    runs = []
+    for interval in (0.1, 1.0):
+        r = search(task, lib, UniformScorer(), SearchConfig(
+            per_task_timeout=1.0, restart_interval=interval, beam_size=None,
+            max_weight=5, virtual_clock=True))
+        assert r.restarts == 0
+        runs.append((r.solved, r.program, r.candidates_evaluated, r.elapsed,
+                     _values(r.store)))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
